@@ -19,7 +19,7 @@ shifted by L(x).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator, Sequence
 
 from .errors import InvalidInput, TooLarge
@@ -63,6 +63,28 @@ def sigma_invariant_count(n: int, k: int) -> int:
     return invariant_subspace_count(n, k, canonical_sigma(n))
 
 
+def _echelon_forms(d: int, k: int) -> Iterator[list[int]]:
+    """Row masks of every k-dimensional reduced row echelon form over d
+    coordinates, in the order documented at enumerate_subspaces."""
+    for pivots in combinations(range(d), k):
+        pivset = frozenset(pivots)
+        free = [
+            (i, j)
+            for i in range(k)
+            for j in range(pivots[i] + 1, d)
+            if j not in pivset
+        ]
+        base = [1 << p for p in pivots]
+        for val in range(1 << len(free)):
+            rows = base.copy()
+            v = val
+            for i, j in free:
+                if v & 1:
+                    rows[i] |= 1 << j
+                v >>= 1
+            yield rows
+
+
 def enumerate_subspaces(n: int, k: int) -> Iterator[LinearCode]:
     """All k-dimensional subspaces, each exactly once as its echelon form.
 
@@ -75,26 +97,8 @@ def enumerate_subspaces(n: int, k: int) -> Iterator[LinearCode]:
         raise TooLarge(f"subspace enumeration limited to length {LENGTH_GUARD}")
     if gaussian_binomial(n, k) > COUNT_GUARD:
         raise TooLarge("subspace count exceeds the enumeration guard")
-    if k == 0:
-        yield LinearCode(n, ())
-        return
-    for pivots in combinations(range(n), k):
-        pivset = frozenset(pivots)
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivset
-        ]
-        base = [1 << p for p in pivots]
-        for val in range(1 << len(free)):
-            rows = base.copy()
-            v = val
-            for i, j in free:
-                if v & 1:
-                    rows[i] |= 1 << j
-                v >>= 1
-            yield LinearCode(n, tuple(rows))
+    for rows in _echelon_forms(n, k):
+        yield LinearCode(n, tuple(rows))
 
 
 def _cycles_and_fixed(n: int, p: Perm) -> tuple[list[tuple[int, int]], list[int]]:
@@ -119,35 +123,17 @@ def _subspaces_of(basis: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
     forms over the abstract coordinates mapped through the basis, so
     each subspace appears exactly once with a deterministic basis.
     """
-    d = len(basis)
-    if k == 0:
-        yield ()
-        return
-    for pivots in combinations(range(d), k):
-        pivset = frozenset(pivots)
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, d)
-            if j not in pivset
-        ]
-        for val in range(1 << len(free)):
-            abstract = [1 << p for p in pivots]
-            v = val
-            for i, j in free:
-                if v & 1:
-                    abstract[i] |= 1 << j
-                v >>= 1
-            rows = []
-            for a in abstract:
-                vec = 0
-                b = a
-                while b:
-                    low = b & -b
-                    vec ^= basis[low.bit_length() - 1]
-                    b ^= low
-                rows.append(vec)
-            yield tuple(rows)
+    for abstract in _echelon_forms(len(basis), k):
+        rows = []
+        for a in abstract:
+            vec = 0
+            b = a
+            while b:
+                low = b & -b
+                vec ^= basis[low.bit_length() - 1]
+                b ^= low
+            rows.append(vec)
+        yield tuple(rows)
 
 
 def _complement_in(space_basis: Sequence[int], sub_rows: Sequence[int]) -> tuple[int, ...]:
@@ -173,56 +159,29 @@ def _half_cycle_lift(bits: int, cycles: Sequence[tuple[int, int]]) -> int:
 def enumerate_invariant(n: int, k: int, involution: Perm) -> Iterator[LinearCode]:
     """All k-dimensional subspaces invariant under the involution,
     each exactly once, via the (U, F_C, L) parameterization."""
-    if not 0 <= k <= n:
-        raise InvalidInput(f"dimension {k} out of range for length {n}")
-    if n > LENGTH_GUARD:
-        raise TooLarge(f"invariant enumeration limited to length {LENGTH_GUARD}")
-    cycles, fixed_pts = _cycles_and_fixed(n, involution)
-    pairvecs = [(1 << a) | (1 << b) for a, b in cycles]
-    f_basis = pairvecs + [1 << c for c in fixed_pts]
-    r = len(pairvecs)
-    d_fix = len(f_basis)
-    for a in range(0, min(r, k // 2) + 1):
-        f = k - a
-        if f > d_fix:
-            continue
-        for u_rows in _subspaces_of(pairvecs, a):
-            quotient = _complement_in(f_basis, u_rows)
-            lifts = [_half_cycle_lift(x, cycles) for x in u_rows]
-            for s_rows in _subspaces_of(quotient, f - a):
-                fc_rows = _rref_ints(list(u_rows) + list(s_rows))
-                rbasis = _complement_in(f_basis, fc_rows)
-                t = len(rbasis)
-                for lval in range(1 << (a * t)):
-                    wrows = []
-                    v = lval
-                    for lift in lifts:
-                        add = 0
-                        for j in range(t):
-                            if v & 1:
-                                add ^= rbasis[j]
-                            v >>= 1
-                        wrows.append(lift ^ add)
-                    yield LinearCode(n, _rref_ints(list(fc_rows) + wrows))
+    return _invariant_range(n, k, involution, 0, 1)
 
 
 def enumerate_sigma_invariant(n: int, k: int) -> Iterator[LinearCode]:
     """Invariant enumeration for the canonical pairing involution."""
-    if n <= 0 or n % 2:
-        raise InvalidInput(f"length {n} is not a positive even number")
     return enumerate_invariant(n, k, canonical_sigma(n))
 
 
 def _invariant_range(
     n: int, k: int, involution: Perm, start: int, step: int
 ) -> Iterator[LinearCode]:
-    """Stream positions start, start+step, ... of enumerate_invariant.
+    """Stream positions start, start+step, ... of the invariant census.
 
-    Identical order and codes, but whole twist-matrix blocks that
-    contain no selected position are skipped without building codes, so
-    sparse arithmetic shards of a large census cost little more than
-    the codes they actually yield.
+    The walk visits U, then F_C, then the twist matrix L as a binary
+    counter.  Whole twist-matrix blocks that contain no selected
+    position are skipped without building codes, so sparse arithmetic
+    shards of a large census cost little more than the codes they
+    actually yield.
     """
+    if not 0 <= k <= n:
+        raise InvalidInput(f"dimension {k} out of range for length {n}")
+    if n > LENGTH_GUARD:
+        raise TooLarge(f"invariant enumeration limited to length {LENGTH_GUARD}")
     if start < 0 or step < 1:
         raise InvalidInput("need start >= 0 and step >= 1")
     cycles, fixed_pts = _cycles_and_fixed(n, involution)
@@ -280,17 +239,16 @@ def shard(slice_: CensusSlice) -> Iterator[LinearCode]:
     """The deterministic sub-stream selected by the slice.
 
     Shards with the same (n, k, flavor) and total are pairwise disjoint
-    and their union is the full stream.
+    and their union is the full stream.  Invariant shards skip the
+    twist-matrix blocks that hold none of their positions.
     """
     index, total = slice_.partition
     if total < 1 or not 0 <= index < total:
         raise InvalidInput(f"invalid partition {slice_.partition}")
-    if not 0 <= slice_.k <= slice_.n:
+    n, k = slice_.n, slice_.k
+    if not 0 <= k <= n:
         raise InvalidInput("dimension out of range")
     if slice_.sigma_invariant_only:
-        stream = enumerate_sigma_invariant(slice_.n, slice_.k)
+        yield from _invariant_range(n, k, canonical_sigma(n), index, total)
     else:
-        stream = enumerate_subspaces(slice_.n, slice_.k)
-    for i, code in enumerate(stream):
-        if i % total == index:
-            yield code
+        yield from islice(enumerate_subspaces(n, k), index, None, total)

@@ -128,7 +128,8 @@ def cmd_verify(args) -> int:
         if args.n is not None:
             kwargs["n_max"] = args.n
     elif args.theorem_id == "prop-3.4":
-        pass
+        if args.n not in (None, 4):
+            raise InvalidInput("prop-3.4 is a check at length 4 only")
     else:
         if args.n is not None:
             kwargs["n"] = args.n

@@ -187,13 +187,41 @@ def fixed_point_witness(code: LinearCode, sigma: Perm) -> Perm | None:
     n = _require_canonical_sigma(sigma)
     if n < 4:
         raise InvalidInput("witness construction needs length at least 4")
-    ts = t_sigma(code, sigma)
+    return _support_complement(n, t_sigma(code, sigma))
+
+
+def _support_complement(n: int, ts: TSet) -> Perm | None:
+    # the fixed_point_witness construction from a known T(sigma)
     m = n // 2
     if len(ts.pairs) == m:
         return None
     if not ts.pairs:
         return pair_product(n, (0,))
     return pair_product(n, set(range(m)) - ts.pairs)
+
+
+def _cheap_witness(code: LinearCode, sigma: Perm) -> tuple[Perm, str] | None:
+    """The cheap rungs of the witness ladder, with the name of the rung
+    that produced the witness; None when both fail.
+
+    First the validated complement witness when the pair support is not
+    full (length at least 4), then the pair products alpha-x over the
+    nonzero fixed words in increasing order.  Raises like ``t_sigma``
+    when the code is not invariant under the canonical sigma.
+    """
+    n = code.n
+    ts = t_sigma(code, sigma)
+    w = _support_complement(n, ts) if n >= 4 else None
+    if w is not None:
+        if not is_automorphism(code, w):
+            raise RuntimeError("fixed point witness failed validation")
+        return w, "T(sigma)-complement" if ts.pairs else "pointwise-fixing pair"
+    fs = fixed_subcode(code, sigma)
+    for xb in sorted(bits for bits in fs._codeword_bits() if bits):
+        a = alpha_x(Word(n, xb), sigma)
+        if a != sigma and is_automorphism(code, a):
+            return a, "alpha-x"
+    return None
 
 
 def _pair_bit(bits: int, p: int) -> int:
@@ -292,32 +320,16 @@ def extra_automorphism_with_path(
     4-dimensional case constructions, and finally brute force over all
     involutions.
     """
-    n = _require_canonical_sigma(sigma)
-    if code.n != n:
-        raise InvalidInput("length mismatch")
-    if not is_automorphism(code, sigma):
-        raise NotInvariant("code is not invariant under the pairing involution")
+    found = _cheap_witness(code, sigma)
+    if found is not None:
+        return found
 
-    if n >= 4:
-        ts = t_sigma(code, sigma)
-        w = fixed_point_witness(code, sigma)
-        if w is not None:
-            if not is_automorphism(code, w):
-                raise RuntimeError("fixed point witness failed validation")
-            label = "pointwise-fixing pair" if not ts.pairs else "T(sigma)-complement"
-            return w, label
-
-    fs = fixed_subcode(code, sigma)
-    for xb in sorted(bits for bits in fs._codeword_bits() if bits):
-        a = alpha_x(Word(n, xb), sigma)
-        if a != sigma and is_automorphism(code, a):
-            return a, "alpha-x"
-
-    if code.k == 4 and fs.k == 2:
+    if code.k == 4 and fixed_subcode(code, sigma).k == 2:
         for a, label in _dim4_case_candidates(code, sigma):
             if a != sigma and is_automorphism(code, a):
                 return a, label
 
+    n = code.n
     if n > LENGTH_GUARD:
         raise TooLarge(f"brute force fallback limited to length {LENGTH_GUARD}")
     sig_imgs = sigma.images

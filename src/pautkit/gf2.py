@@ -277,7 +277,11 @@ def format_code(code: LinearCode) -> str:
 
 def read_code(path: str | os.PathLike) -> LinearCode:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_code(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_code(text)
 
 
 def write_code(path: str | os.PathLike, code: LinearCode) -> None:

@@ -14,6 +14,7 @@ import json
 import multiprocessing
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from math import factorial
 from random import Random
@@ -34,13 +35,13 @@ from .census import (
 )
 from .errors import InvalidInput, TooLarge
 from .fixed import (
-    alpha_x,
+    _cheap_witness,
     extra_automorphism,
     fixed_point_witness,
     fixed_subcode,
     t_sigma,
 )
-from .gf2 import LinearCode, Word, _rref_ints
+from .gf2 import LinearCode, _rref_ints
 from .perm import (
     Perm,
     _apply_bits,
@@ -405,23 +406,12 @@ def check_fixed_point_witness(
 def pairing_group_is_everything(code: LinearCode, sigma: Perm) -> bool:
     """True iff the automorphism group is exactly {identity, pairing}.
 
-    Cheap constructive witnesses are tried before the exhaustive
-    search: the complement witness when the pair support is not full,
-    then the pair products attached to nonzero fixed words."""
-    w = fixed_point_witness(code, sigma)
-    if w is not None:
-        if not is_automorphism(code, w):
-            raise RuntimeError("fixed point witness failed validation")
+    The cheap rungs of the witness ladder (the complement witness when
+    the pair support is not full, then the pair products attached to
+    nonzero fixed words) are tried before the exhaustive search."""
+    if _cheap_witness(code, sigma) is not None:
         return False
-    n = code.n
-    fs = fixed_subcode(code, sigma)
-    full = (1 << n) - 1
-    for xb in fs._codeword_bits():
-        if xb and xb != full:
-            a = alpha_x(Word(n, xb), sigma)
-            if is_automorphism(code, a):
-                return False
-    return find_automorphism_outside(code, (Perm.identity(n), sigma)) is None
+    return find_automorphism_outside(code, (Perm.identity(code.n), sigma)) is None
 
 
 def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dict]]:
@@ -454,27 +444,44 @@ def _journal_config(n: int, lo: int, hi: int, slice_: tuple[int, int]) -> dict:
     }
 
 
-def _load_journal(path, config: dict):
+def _load_journal(path, config: dict) -> tuple[set[tuple[int, int]], list[dict]]:
+    """The finished units and counterexamples recorded in the journal.
+
+    A missing or empty journal gets its config line.  A final line
+    without its newline is a record cut off by a kill: it is dropped and
+    the file is truncated to its last complete line.
+    """
     done: set[tuple[int, int]] = set()
-    prior_scanned = 0
     prior_ces: list[dict] = []
-    if path is None or not os.path.exists(path):
-        return done, prior_scanned, prior_ces
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
-        return done, prior_scanned, prior_ces
-    head = json.loads(lines[0])
-    if head.get("type") != "config" or head.get("config") != config:
-        raise InvalidInput("journal belongs to a different configuration")
-    for line in lines[1:]:
-        rec = json.loads(line)
+    if path is None:
+        return done, prior_ces
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        data = b""
+    complete = data[: data.rfind(b"\n") + 1]
+    try:
+        records = [
+            json.loads(line) for line in complete.decode("utf-8").splitlines() if line.strip()
+        ]
+    except ValueError as exc:
+        raise InvalidInput(f"unreadable journal line: {exc}") from exc
+    if records:
+        head = records[0]
+        if head.get("type") != "config" or head.get("config") != config:
+            raise InvalidInput("journal belongs to a different configuration")
+    for rec in records[1:]:
         if rec.get("type") != "unit":
             raise InvalidInput("malformed journal record")
         done.add((rec["k"], rec["unit"]))
-        prior_scanned += rec["scanned"]
         prior_ces.extend(rec["counterexamples"])
-    return done, prior_scanned, prior_ces
+    if len(complete) < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(len(complete))
+    if not records:
+        _append_journal(path, {"type": "config", "config": config})
+    return done, prior_ces
 
 
 def _append_journal(path, record: dict) -> None:
@@ -519,37 +526,20 @@ def conjecture_search(
         raise InvalidInput("jobs must be at least 1")
 
     config = _journal_config(n, lo, hi, (idx, total))
-    done, prior_scanned, prior_ces = _load_journal(journal_path, config)
-    if journal_path is not None and not os.path.exists(journal_path):
-        _append_journal(journal_path, {"type": "config", "config": config})
-
-    units = [
-        (k, u) for k in range(lo, hi + 1) for u in range(_JOURNAL_UNITS)
+    done, all_ces = _load_journal(journal_path, config)
+    todo = [
+        (k, u)
+        for k in range(lo, hi + 1)
+        for u in range(_JOURNAL_UNITS)
+        if (k, u) not in done
     ]
-    todo = [(k, u) for (k, u) in units if (k, u) not in done]
     work = [(n, k, u, _JOURNAL_UNITS, idx, total) for (k, u) in todo]
 
     rep = VerifyReport("conjecture", n, (lo, hi), 0, slice=(idx, total))
-    results: list[tuple[tuple[int, int], tuple[int, list[dict]]]] = []
-    if jobs > 1 and len(work) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            for (k, u), res in zip(todo, pool.imap(_scan_unit, work)):
-                results.append(((k, u), res))
-                if journal_path is not None:
-                    _append_journal(
-                        journal_path,
-                        {
-                            "type": "unit",
-                            "k": k,
-                            "unit": u,
-                            "scanned": res[0],
-                            "counterexamples": res[1],
-                        },
-                    )
-    else:
-        for (k, u), args in zip(todo, work):
-            res = _scan_unit(args)
-            results.append(((k, u), res))
+    parallel = jobs > 1 and len(work) > 1
+    with multiprocessing.Pool(jobs) if parallel else nullcontext() as pool:
+        results = pool.imap(_scan_unit, work) if parallel else map(_scan_unit, work)
+        for (k, u), (scanned, ces) in zip(todo, results):
             if journal_path is not None:
                 _append_journal(
                     journal_path,
@@ -557,16 +547,13 @@ def conjecture_search(
                         "type": "unit",
                         "k": k,
                         "unit": u,
-                        "scanned": res[0],
-                        "counterexamples": res[1],
+                        "scanned": scanned,
+                        "counterexamples": ces,
                     },
                 )
-
-    all_ces = list(prior_ces)
-    for _, (scanned, ces) in results:
-        rep.scanned += scanned
-        all_ces.extend(ces)
-    rep.witnesses_checked = rep.scanned - sum(len(c[1]) for _, c in results)
+            rep.scanned += scanned
+            rep.witnesses_checked += scanned - len(ces)
+            all_ces.extend(ces)
     for ce in all_ces:
         code = LinearCode.from_strings(ce["generators"]) if ce["generators"] else LinearCode.zero(n)
         rep.counterexamples.append(Counterexample(code, ce["reason"]))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from pautkit import (
@@ -161,3 +163,19 @@ def test_invariant_range_matches_index_filter():
         list(_invariant_range(6, 3, canonical_sigma(6), -1, 2))
     with pytest.raises(InvalidInput):
         list(_invariant_range(6, 3, canonical_sigma(6), 0, 0))
+
+
+def test_census_order_is_frozen():
+    # sha256 over repr(code.rows) in stream order, recorded before the
+    # walkers were merged; any change to the stream order shows here
+    def digest(codes):
+        h = hashlib.sha256()
+        for c in codes:
+            h.update(repr(c.rows).encode())
+        return h.hexdigest()[:16]
+
+    beta = Perm.from_cycles("(1,2)(3,4)", 6)
+    assert digest(c for k in range(9) for c in enumerate_sigma_invariant(8, k)) == "aea71e7e19784fec"
+    assert digest(c for k in range(7) for c in enumerate_subspaces(6, k)) == "17f7bcad7c49cb3c"
+    assert digest(c for k in range(7) for c in enumerate_invariant(6, k, beta)) == "86c5fe7cfff8281c"
+    assert digest(shard(CensusSlice(10, 5, True, (3, 7)))) == "61fb48fc15b21725"

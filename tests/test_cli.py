@@ -58,6 +58,13 @@ def test_analyze_missing_file(capsys):
     assert main(["analyze", "/nonexistent/nowhere.code"]) == 2
 
 
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.code"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["analyze", str(path)]) == 2
+    assert main(["witness", str(path)]) == 2
+
+
 def test_analyze_too_large_gives_partial_output(tmp_path, capsys):
     path = tmp_path / "big.code"
     path.write_text("11000000000000\n00110000000000\n")
@@ -74,6 +81,12 @@ def test_verify_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense-id"])
     assert exc.value.code == 2
+
+
+def test_verify_prop34_rejects_other_lengths(capsys):
+    assert main(["verify", "prop-3.4", "--n", "4"]) == 0
+    assert main(["verify", "prop-3.4", "--n", "8"]) == 2
+    assert "length 4" in capsys.readouterr().err
 
 
 def test_verify_json_schema(capsys):

@@ -173,6 +173,41 @@ def test_conjecture_journal_resume(tmp_path):
     assert again.scanned == 0
 
 
+def test_conjecture_journal_empty_file_gets_config(tmp_path):
+    journal = tmp_path / "empty.ndjson"
+    journal.write_text("")
+    fresh = conjecture_search(10, journal_path=str(journal))
+    assert fresh.scanned == 18291
+    lines = journal.read_text().splitlines()
+    assert json.loads(lines[0])["type"] == "config"
+    assert len(lines) == 17
+    assert conjecture_search(10, journal_path=str(journal)).scanned == 0
+
+
+def test_conjecture_journal_drops_cut_off_last_line(tmp_path):
+    journal = tmp_path / "scan.ndjson"
+    conjecture_search(10, journal_path=str(journal))
+    lines = journal.read_text().splitlines()
+    # a kill in the middle of writing the sixth unit record
+    partial = tmp_path / "partial.ndjson"
+    kept = "".join(line + "\n" for line in lines[:6])
+    partial.write_text(kept + lines[6][: len(lines[6]) // 2])
+    before = sum(json.loads(line)["scanned"] for line in lines[1:6])
+    resumed = conjecture_search(10, journal_path=str(partial))
+    assert before + resumed.scanned == 18291
+    assert partial.read_text().startswith(kept)
+    assert all(json.loads(line) for line in partial.read_text().splitlines())
+    assert conjecture_search(10, journal_path=str(partial)).scanned == 0
+
+
+def test_conjecture_journal_rejects_unparsable_line(tmp_path):
+    broken = tmp_path / "broken.ndjson"
+    broken.write_text("{not json\n")
+    with pytest.raises(InvalidInput):
+        conjecture_search(10, journal_path=str(broken))
+    assert broken.read_text() == "{not json\n"
+
+
 def test_conjecture_journal_rejects_other_config(tmp_path):
     journal = tmp_path / "scan.ndjson"
     conjecture_search(10, slice_=(0, 2), journal_path=str(journal))
@@ -272,7 +307,7 @@ def test_length12_shard_detects_order_two_groups():
 
 @pytest.mark.slow
 def test_length12_full_scan_totals():
-    """Reproduces the full length-12 scan (a few CPU-minutes): 2410873
+    """Reproduces the full length-12 scan (~11 CPU-minutes): 2410873
     invariant codes at dimensions 5..7, of which exactly 46080 (all of
     dimension 6) have automorphism group exactly the pairing."""
     report = conjecture_search(12, jobs=4)
