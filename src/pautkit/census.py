@@ -18,7 +18,9 @@ shifted by L(x).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, islice
 from typing import Iterator, Sequence
 
@@ -63,26 +65,47 @@ def sigma_invariant_count(n: int, k: int) -> int:
     return invariant_subspace_count(n, k, canonical_sigma(n))
 
 
+@lru_cache(maxsize=None)
+def _echelon_layout(d: int, k: int) -> tuple[tuple[int, ...], tuple[tuple[tuple, tuple], ...]]:
+    """Rank layout of the k-dimensional echelon forms over d coordinates.
+
+    Per pivot column set, in lexicographic order: the rank of its first
+    form and its (pivot rows, free positions); it holds 2^(#free) forms.
+    """
+    offsets: list[int] = []
+    shapes = []
+    total = 0
+    for pivots in combinations(range(d), k):
+        pivset = frozenset(pivots)
+        free = tuple((i, j) for i in range(k) for j in range(pivots[i] + 1, d) if j not in pivset)
+        offsets.append(total)
+        shapes.append((tuple(1 << p for p in pivots), free))
+        total += 1 << len(free)
+    return tuple(offsets), tuple(shapes)
+
+
+def _fill(base: Sequence[int], free: Sequence[tuple[int, int]], val: int) -> list[int]:
+    rows = list(base)
+    for i, j in free:
+        if val & 1:
+            rows[i] |= 1 << j
+        val >>= 1
+    return rows
+
+
 def _echelon_forms(d: int, k: int) -> Iterator[list[int]]:
     """Row masks of every k-dimensional reduced row echelon form over d
     coordinates, in the order documented at enumerate_subspaces."""
-    for pivots in combinations(range(d), k):
-        pivset = frozenset(pivots)
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, d)
-            if j not in pivset
-        ]
-        base = [1 << p for p in pivots]
+    for base, free in _echelon_layout(d, k)[1]:
         for val in range(1 << len(free)):
-            rows = base.copy()
-            v = val
-            for i, j in free:
-                if v & 1:
-                    rows[i] |= 1 << j
-                v >>= 1
-            yield rows
+            yield _fill(base, free, val)
+
+
+def _echelon_at(d: int, k: int, rank: int) -> list[int]:
+    """The rank-th form of _echelon_forms(d, k), skipping whole pivot sets."""
+    offsets, shapes = _echelon_layout(d, k)
+    i = bisect_right(offsets, rank) - 1
+    return _fill(*shapes[i], rank - offsets[i])
 
 
 def enumerate_subspaces(n: int, k: int) -> Iterator[LinearCode]:
@@ -116,24 +139,17 @@ def _cycles_and_fixed(n: int, p: Perm) -> tuple[list[tuple[int, int]], list[int]
     return cycles, fixed
 
 
-def _subspaces_of(basis: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
-    """Representative bases of the k-dimensional subspaces of the span.
-
-    The basis rows must be independent; representatives are the echelon
-    forms over the abstract coordinates mapped through the basis, so
-    each subspace appears exactly once with a deterministic basis.
-    """
-    for abstract in _echelon_forms(len(basis), k):
-        rows = []
-        for a in abstract:
-            vec = 0
-            b = a
-            while b:
-                low = b & -b
-                vec ^= basis[low.bit_length() - 1]
-                b ^= low
-            rows.append(vec)
-        yield tuple(rows)
+def _span_rows(basis: Sequence[int], abstract: Sequence[int]) -> list[int]:
+    """Abstract rows (bit i stands for basis[i]) mapped into the span."""
+    rows = []
+    for b in abstract:
+        vec = 0
+        while b:
+            low = b & -b
+            vec ^= basis[low.bit_length() - 1]
+            b ^= low
+        rows.append(vec)
+    return rows
 
 
 def _complement_in(space_basis: Sequence[int], sub_rows: Sequence[int]) -> tuple[int, ...]:
@@ -145,15 +161,6 @@ def _complement_in(space_basis: Sequence[int], sub_rows: Sequence[int]) -> tuple
         if reduced is not None:
             comp.append(reduced)
     return tuple(comp)
-
-
-def _half_cycle_lift(bits: int, cycles: Sequence[tuple[int, int]]) -> int:
-    # preimage under id+involution supported on the first point of each cycle
-    out = 0
-    for a, _b in cycles:
-        if bits >> a & 1:
-            out |= 1 << a
-    return out
 
 
 def enumerate_invariant(n: int, k: int, involution: Perm) -> Iterator[LinearCode]:
@@ -172,11 +179,11 @@ def _invariant_range(
 ) -> Iterator[LinearCode]:
     """Stream positions start, start+step, ... of the invariant census.
 
-    The walk visits U, then F_C, then the twist matrix L as a binary
-    counter.  Whole twist-matrix blocks that contain no selected
-    position are skipped without building codes, so sparse arithmetic
-    shards of a large census cost little more than the codes they
-    actually yield.
+    The stream walks U, then F_C, then the twist matrix L as a binary
+    counter.  In the band dim U = a, position (iU*n_S + iS)*2^(a*t) + L of
+    the band holds the iU-th U, its iS-th F_C (of n_S) and twist L.
+    Each selected position is addressed by rank, with U and F_C rebuilt
+    only when they change, so a shard costs only the codes it yields.
     """
     if not 0 <= k <= n:
         raise InvalidInput(f"dimension {k} out of range for length {n}")
@@ -187,6 +194,8 @@ def _invariant_range(
     cycles, fixed_pts = _cycles_and_fixed(n, involution)
     pairvecs = [(1 << a) | (1 << b) for a, b in cycles]
     f_basis = pairvecs + [1 << c for c in fixed_pts]
+    # x & half is the preimage of x in U under id+involution on the first cycle points
+    half = sum(1 << a for a, _b in cycles)
     r = len(pairvecs)
     d_fix = len(f_basis)
     pos = 0
@@ -196,32 +205,33 @@ def _invariant_range(
             continue
         t = d_fix - f
         block = 1 << (a * t)
-        for u_rows in _subspaces_of(pairvecs, a):
-            quotient = _complement_in(f_basis, u_rows)
-            lifts = [_half_cycle_lift(x, cycles) for x in u_rows]
-            for s_rows in _subspaces_of(quotient, f - a):
-                if pos > start:
-                    first = start - (-(pos - start) // step) * step
-                else:
-                    first = start
-                if first >= pos + block:
-                    pos += block
-                    continue
-                fc_rows = _rref_ints(list(u_rows) + list(s_rows))
+        n_s = gaussian_binomial(d_fix - a, f - a)
+        end = pos + gaussian_binomial(r, a) * n_s * block
+        first = max(start, start - (start - pos) // step * step)
+        u_at = fc_at = None
+        for idx in range(first, end, step):
+            at, lval = divmod(idx - pos, block)
+            if at != fc_at:
+                i_u, i_s = divmod(at, n_s)
+                if i_u != u_at:
+                    u_rows = _span_rows(pairvecs, _echelon_at(r, a, i_u))
+                    quotient = _complement_in(f_basis, u_rows)
+                    lifts = [x & half for x in u_rows]
+                    u_at = i_u
+                s_rows = _span_rows(quotient, _echelon_at(d_fix - a, f - a, i_s))
+                fc_rows = _rref_ints(u_rows + s_rows)
                 rbasis = _complement_in(f_basis, fc_rows)
-                for idx in range(first, pos + block, step):
-                    lval = idx - pos
-                    wrows = []
-                    v = lval
-                    for lift in lifts:
-                        add = 0
-                        for j in range(t):
-                            if v & 1:
-                                add ^= rbasis[j]
-                            v >>= 1
-                        wrows.append(lift ^ add)
-                    yield LinearCode(n, _rref_ints(list(fc_rows) + wrows))
-                pos += block
+                fc_at = at
+            wrows = []
+            for lift in lifts:
+                add = 0
+                for j in range(t):
+                    if lval & 1:
+                        add ^= rbasis[j]
+                    lval >>= 1
+                wrows.append(lift ^ add)
+            yield LinearCode(n, _rref_ints(list(fc_rows) + wrows))
+        pos = end
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,8 +249,8 @@ def shard(slice_: CensusSlice) -> Iterator[LinearCode]:
     """The deterministic sub-stream selected by the slice.
 
     Shards with the same (n, k, flavor) and total are pairwise disjoint
-    and their union is the full stream.  Invariant shards skip the
-    twist-matrix blocks that hold none of their positions.
+    and their union is the full stream.  Invariant shards address each
+    of their positions by rank, so they cost only the codes they yield.
     """
     index, total = slice_.partition
     if total < 1 or not 0 <= index < total:

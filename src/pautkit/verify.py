@@ -418,8 +418,8 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dic
     """Scan one journal unit; returns (scanned, counterexample dicts).
 
     The unit's codes sit at stream positions sidx + (unit + m*units)*stotal,
-    an arithmetic progression, so the range enumerator skips the rest of
-    the census without building it.
+    an arithmetic progression; the range enumerator addresses each of them
+    by rank, so the unit builds only its own codes.
     """
     n, k, unit, units, sidx, stotal = args
     sigma = canonical_sigma(n)
@@ -449,7 +449,8 @@ def _load_journal(path, config: dict) -> tuple[set[tuple[int, int]], list[dict]]
 
     A missing or empty journal gets its config line.  A final line
     without its newline is a record cut off by a kill: it is dropped and
-    the file is truncated to its last complete line.
+    the file is truncated to its last complete line.  A repeated record
+    of a finished unit adds nothing.
     """
     done: set[tuple[int, int]] = set()
     prior_ces: list[dict] = []
@@ -467,21 +468,35 @@ def _load_journal(path, config: dict) -> tuple[set[tuple[int, int]], list[dict]]
         ]
     except ValueError as exc:
         raise InvalidInput(f"unreadable journal line: {exc}") from exc
+    if not all(isinstance(rec, dict) for rec in records):
+        raise InvalidInput("malformed journal record: not a JSON object")
     if records:
         head = records[0]
         if head.get("type") != "config" or head.get("config") != config:
             raise InvalidInput("journal belongs to a different configuration")
     for rec in records[1:]:
-        if rec.get("type") != "unit":
+        if not _is_unit_record(rec):
             raise InvalidInput("malformed journal record")
-        done.add((rec["k"], rec["unit"]))
-        prior_ces.extend(rec["counterexamples"])
+        if (rec["k"], rec["unit"]) not in done:
+            done.add((rec["k"], rec["unit"]))
+            prior_ces.extend(rec["counterexamples"])
     if len(complete) < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(len(complete))
     if not records:
         _append_journal(path, {"type": "config", "config": config})
     return done, prior_ces
+
+
+def _is_unit_record(rec: dict) -> bool:
+    ces = rec.get("counterexamples")
+    return (
+        rec.get("type") == "unit"
+        and isinstance(rec.get("k"), int)
+        and isinstance(rec.get("unit"), int)
+        and isinstance(ces, list)
+        and all(isinstance(ce, dict) and {"generators", "reason"} <= ce.keys() for ce in ces)
+    )
 
 
 def _append_journal(path, record: dict) -> None:

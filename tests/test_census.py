@@ -179,3 +179,67 @@ def test_census_order_is_frozen():
     assert digest(c for k in range(7) for c in enumerate_subspaces(6, k)) == "17f7bcad7c49cb3c"
     assert digest(c for k in range(7) for c in enumerate_invariant(6, k, beta)) == "86c5fe7cfff8281c"
     assert digest(shard(CensusSlice(10, 5, True, (3, 7)))) == "61fb48fc15b21725"
+
+
+def _index_filter(codes, start, step):
+    return [c for i, c in enumerate(codes) if i >= start and (i - start) % step == 0]
+
+
+def test_invariant_range_rank_addressing_edges():
+    from pautkit.census import _invariant_range
+
+    n, k = 8, 4
+    sigma = canonical_sigma(n)
+    full = list(enumerate_sigma_invariant(n, k))
+    # band a = dim U holds C(r, a) * C(d_fix - a, f - a) * 2^(a*t) positions
+    bands = [
+        gaussian_binomial(4, a) * gaussian_binomial(4 - a, k - 2 * a) * (1 << (a * (4 - k + a)))
+        for a in range(3)
+    ]
+    assert bands == [1, 210, 560] and sum(bands) == len(full)
+    inside_last_band = bands[0] + bands[1] + 37
+    cases = (
+        (3, len(full) + 1),  # step larger than the whole stream
+        (0, 10**9),
+        (len(full), 1),  # start at and past the end: nothing
+        (len(full) + 5, 3),
+        (inside_last_band, 1),
+        (inside_last_band, 13),
+        (bands[0] + 5, 100),  # crosses from the a = 1 band into the a = 2 band
+    )
+    for start, step in cases:
+        want = _index_filter(full, start, step)
+        assert list(_invariant_range(n, k, sigma, start, step)) == want
+    assert list(_invariant_range(n, k, sigma, len(full) + 5, 3)) == []
+    assert list(_invariant_range(n, k, sigma, 3, len(full) + 1)) == [full[3]]
+
+
+def test_invariant_range_with_fixed_points_matches_index_filter():
+    from pautkit.census import _invariant_range
+
+    beta = Perm.from_cycles("(1,2)(3,4)", 6)
+    for k in range(7):
+        full = list(enumerate_invariant(6, k, beta))
+        for start, step in ((0, 1), (1, 2), (4, 7), (len(full) // 2, 5), (2, len(full) + 3)):
+            want = _index_filter(full, start, step)
+            assert list(_invariant_range(6, k, beta, start, step)) == want
+
+
+def test_slice_units_sum_to_closed_form_coverage():
+    # walk only, no witness ladder: the journal units of one n = 12 slice
+    # cover exactly the slice's positions of each census stream
+    from pautkit.census import _invariant_range
+    from pautkit.verify import _JOURNAL_UNITS
+
+    sigma = canonical_sigma(12)
+    idx, total = 37, 100
+    walked = coverage = 0
+    for k in (5, 6, 7):
+        stream = sigma_invariant_count(12, k)
+        coverage += len(range(idx, stream, total))
+        for u in range(_JOURNAL_UNITS):
+            start, step = idx + u * total, _JOURNAL_UNITS * total
+            got = sum(1 for _ in _invariant_range(12, k, sigma, start, step))
+            assert got == len(range(start, stream, step))
+            walked += got
+    assert walked == coverage

@@ -153,6 +153,18 @@ def test_conjecture_bad_slice(capsys):
     assert main(["conjecture", "--n", "10", "--slice", "junk"]) == 2
 
 
+def test_conjecture_malformed_journal_exits_2(tmp_path, capsys):
+    from pautkit.verify import _journal_config
+
+    config = json.dumps({"type": "config", "config": _journal_config(10, 5, 5, (0, 1))})
+    no_ces = json.dumps({"type": "unit", "k": 5, "unit": 0, "scanned": 1})
+    journal = tmp_path / "bad.ndjson"
+    for text in ("[1]", "[1, 2]", config + "\n[1, 2]", config + "\n" + no_ces):
+        journal.write_text(text + "\n")
+        assert main(["conjecture", "--n", "10", "--journal", str(journal)]) == 2
+        assert "journal record" in capsys.readouterr().err
+
+
 def test_census_cli(capsys):
     assert main(["census", "--n", "6", "--sigma-invariant", "--output", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

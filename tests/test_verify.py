@@ -22,6 +22,7 @@ from pautkit.verify import (
     check_fixed_upper_bound,
     check_half_dim_bound,
     check_length4_codes,
+    _journal_config,
 )
 
 
@@ -206,6 +207,56 @@ def test_conjecture_journal_rejects_unparsable_line(tmp_path):
     with pytest.raises(InvalidInput):
         conjecture_search(10, journal_path=str(broken))
     assert broken.read_text() == "{not json\n"
+
+
+def _journal_text(*records):
+    return "".join(json.dumps(rec) + "\n" for rec in records)
+
+
+def test_conjecture_journal_counts_duplicate_unit_once(tmp_path):
+    # a finished k = 6 slice journal written by hand, whose unit 3 holds
+    # the two order-two representatives and is recorded twice
+    reason = "automorphism group is exactly the pairing"
+    hits = [
+        Counterexample(LinearCode.from_strings(list(rows)), reason).to_dict()
+        for rows in ORDER_TWO_LENGTH12_REPS
+    ]
+    records = [{"type": "config", "config": _journal_config(12, 6, 6, (0, 1024))}]
+    for u in range(16):
+        ces = hits if u == 3 else []
+        records.append({"type": "unit", "k": 6, "unit": u, "scanned": 66, "counterexamples": ces})
+    journal = tmp_path / "dup.ndjson"
+    journal.write_text(_journal_text(*records, records[4]))
+    report = conjecture_search(12, k_lo=6, k_hi=6, slice_=(0, 1024), journal_path=str(journal))
+    assert report.scanned == 0
+    assert [ce.to_dict() for ce in report.counterexamples] == hits
+
+
+N10_CONFIG = {"type": "config", "config": _journal_config(10, 5, 5, (0, 1))}
+N10_UNIT = {"type": "unit", "k": 5, "unit": 0, "scanned": 1, "counterexamples": []}
+# parsable journals whose records are not JSON objects or lack a field
+MALFORMED_JOURNALS = {
+    "list-file": _journal_text([1]),
+    "list-config": _journal_text([1, 2]),
+    "list-unit": _journal_text(N10_CONFIG, [1, 2]),
+    "string-unit": _journal_text(N10_CONFIG, "unit"),
+    **{
+        f"unit-without-{missing}": _journal_text(
+            N10_CONFIG, {key: v for key, v in N10_UNIT.items() if key != missing}
+        )
+        for missing in ("k", "unit", "counterexamples")
+    },
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_JOURNALS)
+def test_conjecture_journal_rejects_malformed_record(tmp_path, name):
+    text = MALFORMED_JOURNALS[name]
+    journal = tmp_path / "bad.ndjson"
+    journal.write_text(text)
+    with pytest.raises(InvalidInput):
+        conjecture_search(10, journal_path=str(journal))
+    assert journal.read_text() == text
 
 
 def test_conjecture_journal_rejects_other_config(tmp_path):
