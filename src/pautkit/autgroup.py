@@ -15,6 +15,15 @@ With the consistency prune, every leaf of the tree is an automorphism
 and every automorphism is a leaf, so the stream is exact.  Orders of
 potentially huge groups are tracked with an incremental Schreier-Sims
 stabilizer chain instead of materializing the element set.
+
+The quasi group test searches a narrower tree with the same two prunes:
+fixed point free elements of prime order p, built one p-cycle at a time.
+Each cycle starts at the least unassigned point and its members follow
+in increasing order, which is the order of
+``perm.fixed_point_free_prime_order``.  The prunes cut only subtrees
+without automorphisms, so the first leaf is the first automorphism of
+that unpruned stream.  For p = 2 this is an involution search in which
+choosing i -> j forces j -> i.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from typing import Iterable, Iterator
 
 from .errors import InvalidInput, TooLarge
 from .gf2 import LinearCode
-from .perm import Perm, _apply_bits, _fpf_prime_order_images
+from .perm import Perm, _apply_bits, _inv, _mult
 
 LENGTH_GUARD = 12
 GROUP_CODE_GUARD = 8
@@ -69,6 +78,25 @@ def _columns(code: LinearCode) -> list[int]:
     return cols
 
 
+def _insert(basis: list[int], v: int, low_mask: int) -> list[int] | None:
+    """Reduced-echelon insert of v into a copy of basis.
+
+    None signals an inconsistent pairing: a combination with zero low
+    half but nonzero high half.
+    """
+    for b in basis:
+        if v & (b & -b):
+            v ^= b
+    if not v:
+        return basis
+    if not v & low_mask:
+        return None
+    piv = v & -v
+    nb = [b ^ v if b & piv else b for b in basis]
+    nb.append(v)
+    return nb
+
+
 def _automorphism_images(code: LinearCode) -> Iterator[tuple[int, ...]]:
     """All automorphism image tables in lexicographic order."""
     n, k = code.n, code.k
@@ -87,21 +115,6 @@ def _automorphism_images(code: LinearCode) -> Iterator[tuple[int, ...]]:
     images = [0] * n
     used = [False] * n
 
-    def insert(basis: list[int], v: int) -> list[int] | None:
-        # reduced-echelon insert; None signals an inconsistent pairing
-        # (a combination with zero low half but nonzero high half)
-        for b in basis:
-            if v & (b & -b):
-                v ^= b
-        if not v:
-            return basis
-        if not v & low_mask:
-            return None
-        piv = v & -v
-        nb = [b ^ v if b & piv else b for b in basis]
-        nb.append(v)
-        return nb
-
     def rec(i: int, fwd: list[int], bwd: list[int]) -> Iterator[tuple[int, ...]]:
         if i == n:
             yield tuple(images)
@@ -110,10 +123,10 @@ def _automorphism_images(code: LinearCode) -> Iterator[tuple[int, ...]]:
         for t in cands[i]:
             if used[t]:
                 continue
-            f2 = insert(fwd, cols[t] | (ci << k))
+            f2 = _insert(fwd, cols[t] | (ci << k), low_mask)
             if f2 is None:
                 continue
-            b2 = insert(bwd, ci | (cols[t] << k))
+            b2 = _insert(bwd, ci | (cols[t] << k), low_mask)
             if b2 is None:
                 continue
             images[i] = t
@@ -139,18 +152,6 @@ def find_automorphism_outside(
         if imgs not in skip:
             return Perm(imgs)
     return None
-
-
-def _mult(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # apply p, then q
-    return tuple(q[x] for x in p)
-
-
-def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
 
 
 class StabilizerChain:
@@ -425,20 +426,85 @@ def _primes_dividing(n: int) -> list[int]:
     return out
 
 
+def _fpf_prime_order_automorphisms(code: LinearCode) -> Iterator[tuple[int, ...]]:
+    """Image tables of the fixed point free prime-order automorphisms.
+
+    The primes dividing n are taken in increasing order, and for each the
+    search walks the tree of ``perm.fixed_point_free_prime_order``: a
+    cycle starts at the least unassigned point and its members are chosen
+    in increasing order from the remaining points.  Each arc a -> b is
+    pruned when chosen, by the weight signatures and by the two echelon
+    inserts of ``_automorphism_images``.  A prune cuts only subtrees
+    without automorphisms and every surviving leaf is one, so this yields
+    exactly the automorphisms of the unpruned stream, in its order.
+    """
+    n, k = code.n, code.k
+    cols = _columns(code)
+    # every coordinate has the same signature when k is 0 or n
+    sigs = [()] * n if k in (0, n) else _weight_signatures(code)
+    low_mask = (1 << k) - 1
+    images = [0] * n
+    used = [False] * n
+
+    def arc(a: int, b: int, fwd: list[int], bwd: list[int]):
+        # set a -> b and return the grown bases, or None if inconsistent
+        f2 = _insert(fwd, cols[b] | (cols[a] << k), low_mask)
+        if f2 is None:
+            return None
+        b2 = _insert(bwd, cols[a] | (cols[b] << k), low_mask)
+        if b2 is None:
+            return None
+        images[a] = b
+        return f2, b2
+
+    def rec(
+        p: int, lead: int, last: int, length: int, fwd: list[int], bwd: list[int]
+    ) -> Iterator[tuple[int, ...]]:
+        # the open cycle runs from lead to last and holds `length` points
+        if length == p:
+            bases = arc(last, lead, fwd, bwd)
+            if bases is None:
+                return
+            nxt = next((x for x in range(lead + 1, n) if not used[x]), None)
+            if nxt is None:
+                yield tuple(images)
+                return
+            used[nxt] = True
+            yield from rec(p, nxt, nxt, 1, *bases)
+            used[nxt] = False
+            return
+        for b in range(lead + 1, n):
+            if used[b] or sigs[b] != sigs[lead]:
+                continue
+            bases = arc(last, b, fwd, bwd)
+            if bases is None:
+                continue
+            used[b] = True
+            yield from rec(p, lead, b, length + 1, *bases)
+            used[b] = False
+
+    for p in _primes_dividing(n):
+        used[0] = True
+        yield from rec(p, 0, 0, 1, [], [])
+        used[0] = False
+
+
 def quasi_group_witness(code: LinearCode) -> Perm | None:
     """A fixed point free prime-order automorphism, if one exists.
 
     Such an element generates a nontrivial free subgroup, and every
     nontrivial free subgroup contains one, so this decides the quasi
-    group property exactly.
+    group property exactly.  The witness is the first automorphism of
+    ``perm.fixed_point_free_prime_order(n, p)`` over the primes p | n in
+    increasing order; the pruned cycle search of
+    ``_fpf_prime_order_automorphisms`` finds that same element without
+    testing the candidates one by one.
     """
     n = code.n
     if n > LENGTH_GUARD:
         raise TooLarge(f"quasi group test limited to length {LENGTH_GUARD}")
-    for p in _primes_dividing(n):
-        for imgs in _fpf_prime_order_images(n, p):
-            if _is_automorphism_images(code, imgs):
-                return Perm(imgs)
+    for imgs in _fpf_prime_order_automorphisms(code):
+        return Perm(imgs)
     return None
 
 

@@ -25,6 +25,18 @@ def _apply_bits(images: tuple[int, ...], bits: int) -> int:
     return out
 
 
+def _mult(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    # apply p, then q
+    return tuple(q[x] for x in p)
+
+
+def _inv(p: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
 @dataclass(frozen=True, slots=True)
 class Perm:
     """A permutation of {0, ..., n-1} stored as an image table."""
@@ -124,15 +136,11 @@ def compose(p: Perm, q: Perm) -> Perm:
     """The permutation applying p first, then q: i -> q(p(i))."""
     if p.n != q.n:
         raise InvalidInput("length mismatch")
-    qi = q.images
-    return Perm(tuple(qi[x] for x in p.images))
+    return Perm(_mult(p.images, q.images))
 
 
 def inverse(p: Perm) -> Perm:
-    out = [0] * p.n
-    for i, x in enumerate(p.images):
-        out[x] = i
-    return Perm(tuple(out))
+    return Perm(_inv(p.images))
 
 
 def conjugate(p: Perm, b: Perm) -> Perm:
@@ -262,17 +270,22 @@ def involutions(n: int) -> Iterator[Perm]:
         yield Perm(imgs)
 
 
-def _fpf_prime_order_images(n: int, p: int) -> Iterator[tuple[int, ...]]:
-    """Image tables of fixed point free order-p elements (all cycles length p)."""
+def fixed_point_free_prime_order(n: int, p: int) -> Iterator[Perm]:
+    """All fixed point free permutations of prime order p in S_n.
+
+    Each cycle starts at the least point not yet used; its other members
+    run lexicographically over the remaining points, so the stream is the
+    tree that ``autgroup.quasi_group_witness`` searches with prunes.
+    """
     if n % p:
         return
     from itertools import permutations as _orderings
 
     imgs = [-1] * n
 
-    def rec(todo: list[int]) -> Iterator[tuple[int, ...]]:
+    def rec(todo: list[int]) -> Iterator[Perm]:
         if not todo:
-            yield tuple(imgs)
+            yield Perm(tuple(imgs))
             return
         lead = todo[0]
         rest = todo[1:]
@@ -286,9 +299,3 @@ def _fpf_prime_order_images(n: int, p: int) -> Iterator[tuple[int, ...]]:
             imgs[x] = -1
 
     yield from rec(list(range(n)))
-
-
-def fixed_point_free_prime_order(n: int, p: int) -> Iterator[Perm]:
-    """All fixed point free permutations of prime order p in S_n."""
-    for imgs in _fpf_prime_order_images(n, p):
-        yield Perm(imgs)

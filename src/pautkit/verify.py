@@ -450,7 +450,8 @@ def _load_journal(path, config: dict) -> tuple[set[tuple[int, int]], list[dict]]
     A missing or empty journal gets its config line.  A final line
     without its newline is a record cut off by a kill: it is dropped and
     the file is truncated to its last complete line.  A repeated record
-    of a finished unit adds nothing.
+    of a finished unit adds nothing; a record whose k or unit lies
+    outside the configured band is rejected.
     """
     done: set[tuple[int, int]] = set()
     prior_ces: list[dict] = []
@@ -477,6 +478,13 @@ def _load_journal(path, config: dict) -> tuple[set[tuple[int, int]], list[dict]]
     for rec in records[1:]:
         if not _is_unit_record(rec):
             raise InvalidInput("malformed journal record")
+        if not (
+            config["k_lo"] <= rec["k"] <= config["k_hi"]
+            and 0 <= rec["unit"] < config["units"]
+        ):
+            raise InvalidInput(
+                f"journal record outside the configured band: k={rec['k']}, unit={rec['unit']}"
+            )
         if (rec["k"], rec["unit"]) not in done:
             done.add((rec["k"], rec["unit"]))
             prior_ces.extend(rec["counterexamples"])

@@ -17,17 +17,20 @@ from pautkit import (
     quasi_group_witness,
     rref,
 )
-from pautkit.autgroup import StabilizerChain
+from pautkit.autgroup import StabilizerChain, _fpf_prime_order_automorphisms
 from pautkit.perm import (
     compose,
     conjugate,
+    fixed_point_free_prime_order,
     generate,
     image_code,
     is_fixed_point_free,
     is_involution,
 )
+from pautkit.census import CensusSlice, shard, sigma_invariant_count
 
 from bruteforce import brute_automorphism_images
+from test_verify import ORDER_TWO_LENGTH12_REPS
 
 
 def P(text, n):
@@ -272,3 +275,90 @@ def test_quasi_group_matches_subgroup_definition_small():
                 free_subgroup_exists = True
                 break
         assert is_quasi_group_code(c) == free_subgroup_exists
+
+
+def first_fpf_prime_order_automorphism(code):
+    """The brute-force witness: the first automorphism among the fixed point
+    free prime-order permutations, primes in increasing order."""
+    n = code.n
+    for p in range(2, n + 1):
+        if n % p or any(p % d == 0 for d in range(2, p)):
+            continue
+        for g in fixed_point_free_prime_order(n, p):
+            if is_automorphism(code, g):
+                return g
+    return None
+
+
+def code_of_dim(n, k, draw):
+    """Grow a code by drawn rows, skipping any that would overshoot k."""
+    code = LinearCode.zero(n)
+    while code.k < k:
+        code = rref([Word(n, r) for r in code.rows] + [Word(n, draw())])
+    return code
+
+
+def witness_test_codes():
+    """Random, sparse (rows of weight <= 2) and relabelled pairing-invariant
+    codes for every n = 2..10 and every k = 0..n.  At n = 10 each k gets one
+    of the three kinds in turn, since the brute force spends about 0.6 s
+    on an n = 10 code without a witness."""
+    rng = random.Random(61)
+
+    def invariant(n, k):
+        # relabelled so that the pairing is not the stream's first element
+        count = sigma_invariant_count(n, k)
+        (code,) = shard(CensusSlice(n, k, True, (rng.randrange(count), count)))
+        return image_code(code, Perm(tuple(rng.sample(range(n), n))))
+
+    for n in range(2, 11):
+        for k in range(n + 1):
+            kinds = [
+                lambda: code_of_dim(n, k, lambda: rng.getrandbits(n)),
+                lambda: code_of_dim(n, k, lambda: 1 << rng.randrange(n) | 1 << rng.randrange(n)),
+            ]
+            if n % 2 == 0:
+                kinds.append(lambda: invariant(n, k))
+            if n == 10:
+                kinds = [kinds[k % 3]]
+            for make in kinds:
+                yield make()
+
+
+def test_quasi_group_witness_equals_bruteforce_first_hit():
+    checked = found = 0
+    for code in witness_test_codes():
+        expected = first_fpf_prime_order_automorphism(code)
+        assert quasi_group_witness(code) == expected
+        if code.n <= 8:
+            # the whole pruned stream, not only its first element
+            brute = [
+                g.images
+                for p in (2, 3, 5, 7)
+                for g in fixed_point_free_prime_order(code.n, p)
+                if is_automorphism(code, g)
+            ]
+            assert list(_fpf_prime_order_automorphisms(code)) == brute
+        checked += 1
+        found += expected is not None
+    assert checked == 139 and 0 < found < checked
+
+
+# the [12,3] and [12,2] block codes and the two order-two representatives
+STRUCTURED_LENGTH12 = (
+    ("111100000000", "000011110000", "000000001111"),
+    ("111111000000", "000000111111"),
+    ORDER_TWO_LENGTH12_REPS[0],
+    ORDER_TWO_LENGTH12_REPS[1],
+)
+
+
+def test_quasi_group_witness_equals_bruteforce_at_length12():
+    for rows in STRUCTURED_LENGTH12:
+        code = LinearCode.from_strings(list(rows))
+        assert quasi_group_witness(code) == first_fpf_prime_order_automorphism(code)
+    rng = random.Random(67)
+    code = code_of_dim(12, 6, lambda: rng.getrandbits(12))
+    # no fixed point free automorphism of order 2 or 3: all 256795 candidates fail
+    assert first_fpf_prime_order_automorphism(code) is None
+    assert quasi_group_witness(code) is None

@@ -165,6 +165,25 @@ def test_conjecture_malformed_journal_exits_2(tmp_path, capsys):
         assert "journal record" in capsys.readouterr().err
 
 
+def test_conjecture_out_of_band_journal_exits_2(tmp_path, capsys):
+    from pautkit.verify import _journal_config
+
+    # a finished n = 10 journal plus a k = 6 record reporting one counterexample
+    records = [{"type": "config", "config": _journal_config(10, 5, 5, (0, 1))}]
+    records += [
+        {"type": "unit", "k": 5, "unit": u, "scanned": 1, "counterexamples": []}
+        for u in range(16)
+    ]
+    ce = {"generators": ["1100000000"], "reason": "demo"}
+    records.append({"type": "unit", "k": 6, "unit": 99, "scanned": 1, "counterexamples": [ce]})
+    journal = tmp_path / "stray.ndjson"
+    journal.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    assert main(["conjecture", "--n", "10", "--journal", str(journal), "--output", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "outside the configured band" in captured.err
+    assert captured.out == ""
+
+
 def test_census_cli(capsys):
     assert main(["census", "--n", "6", "--sigma-invariant", "--output", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

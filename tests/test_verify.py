@@ -259,6 +259,44 @@ def test_conjecture_journal_rejects_malformed_record(tmp_path, name):
     assert journal.read_text() == text
 
 
+# a finished n = 10 journal, written by hand: the config line and the 16
+# units of k = 5, none of which holds a counterexample
+N10_FINISHED = [N10_CONFIG] + [{**N10_UNIT, "unit": u} for u in range(16)]
+OUT_OF_BAND = {
+    "k-above": {"k": 6},
+    "k-below": {"k": 4},
+    "unit-16": {"unit": 16},
+    "unit-minus-1": {"unit": -1},
+}
+
+
+def out_of_band_journal(name: str) -> str:
+    """The finished n = 10 journal plus one unit record outside its band
+    that reports a counterexample."""
+    ce = Counterexample(LinearCode.from_strings(["1100000000"]), "demo").to_dict()
+    stray = {**N10_UNIT, "unit": 0, "counterexamples": [ce], **OUT_OF_BAND[name]}
+    return _journal_text(*N10_FINISHED, stray)
+
+
+def test_conjecture_finished_journal_resumes_clean(tmp_path):
+    # the control for the out-of-band tests: without the stray record the
+    # hand-written journal is accepted as finished and clean
+    journal = tmp_path / "done.ndjson"
+    journal.write_text(_journal_text(*N10_FINISHED))
+    report = conjecture_search(10, journal_path=str(journal))
+    assert report.scanned == 0 and report.ok
+
+
+@pytest.mark.parametrize("name", OUT_OF_BAND)
+def test_conjecture_journal_rejects_out_of_band_unit(tmp_path, name):
+    text = out_of_band_journal(name)
+    journal = tmp_path / "stray.ndjson"
+    journal.write_text(text)
+    with pytest.raises(InvalidInput, match="outside the configured band"):
+        conjecture_search(10, journal_path=str(journal))
+    assert journal.read_text() == text
+
+
 def test_conjecture_journal_rejects_other_config(tmp_path):
     journal = tmp_path / "scan.ndjson"
     conjecture_search(10, slice_=(0, 2), journal_path=str(journal))
@@ -280,10 +318,11 @@ def test_conjecture_parallel_matches_serial(tmp_path):
 # Representatives of the two permutation-equivalence classes of [12,6]
 # codes whose automorphism group is exactly the pairing involution,
 # found by the full n=12 scan (46080 codes, 23040 per class).  Their
-# groups were confirmed independently: a brute force over all 140152
-# involutions of S_12 finds no other involution automorphism, and a VF2
+# groups are confirmed independently below: a brute force over all 140152
+# involutions of S_12 finds no other involution automorphism
+# (test_length12_order_two_group_representatives), and a VF2
 # graph-automorphism recount on the weight-colored incidence graph
-# returns exactly {identity, pairing}.
+# returns exactly {identity, pairing} (test_length12_representatives_vf2_recount).
 ORDER_TWO_LENGTH12_REPS = (
     (
         "100100100000",
@@ -342,6 +381,27 @@ def test_length12_order_two_group_representatives():
     for imgs in _involution_images(12):
         if imgs != sigma.images:
             assert not _is_automorphism_images(code, imgs)
+
+
+def test_length12_representatives_vf2_recount():
+    # independent of the automorphism search: a coordinate permutation
+    # fixes the code exactly when it extends to an automorphism of the
+    # bipartite codeword/coordinate incidence graph, and that extension is
+    # unique, so the colour-preserving graph automorphisms count PAut
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    for rows in ORDER_TWO_LENGTH12_REPS:
+        code = LinearCode.from_strings(list(rows))
+        graph = nx.Graph()
+        graph.add_nodes_from((("coord", i), {"colour": -1}) for i in range(12))
+        for word in code.codewords():
+            if word.weight:
+                graph.add_node(("word", word.bits), colour=word.weight)
+                graph.add_edges_from((("word", word.bits), ("coord", i)) for i in word.support())
+        same_colour = lambda a, b: a["colour"] == b["colour"]
+        matcher = GraphMatcher(graph, graph, node_match=same_colour)
+        assert sum(1 for _ in matcher.isomorphisms_iter()) == 2
 
 
 def test_length12_shard_detects_order_two_groups():
