@@ -34,7 +34,7 @@ from math import factorial
 from typing import Iterable, Iterator
 
 from .errors import InvalidInput, TooLarge
-from .gf2 import LinearCode
+from .gf2 import LinearCode, _insert, _reduce
 from .perm import Perm, _apply_bits, _inv, _mult
 
 LENGTH_GUARD = 12
@@ -49,7 +49,7 @@ def is_automorphism(code: LinearCode, p: Perm) -> bool:
 
 
 def _is_automorphism_images(code: LinearCode, images: tuple[int, ...]) -> bool:
-    return all(code._contains_bits(_apply_bits(images, row)) for row in code.rows)
+    return all(not _reduce(code.rows, _apply_bits(images, row)) for row in code.rows)
 
 
 def _weight_signatures(code: LinearCode) -> list[tuple[int, ...]]:
@@ -76,25 +76,6 @@ def _columns(code: LinearCode) -> list[int]:
             cols[low.bit_length() - 1] |= 1 << r
             b ^= low
     return cols
-
-
-def _insert(basis: list[int], v: int, low_mask: int) -> list[int] | None:
-    """Reduced-echelon insert of v into a copy of basis.
-
-    None signals an inconsistent pairing: a combination with zero low
-    half but nonzero high half.
-    """
-    for b in basis:
-        if v & (b & -b):
-            v ^= b
-    if not v:
-        return basis
-    if not v & low_mask:
-        return None
-    piv = v & -v
-    nb = [b ^ v if b & piv else b for b in basis]
-    nb.append(v)
-    return nb
 
 
 def _automorphism_images(code: LinearCode) -> Iterator[tuple[int, ...]]:

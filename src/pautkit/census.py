@@ -25,7 +25,7 @@ from itertools import combinations, islice
 from typing import Iterator, Sequence
 
 from .errors import InvalidInput, TooLarge
-from .gf2 import EchelonBasis, LinearCode, _rref_ints
+from .gf2 import LinearCode, _insert, _rref_ints
 from .perm import Perm, canonical_sigma, is_involution
 
 LENGTH_GUARD = 12
@@ -154,12 +154,13 @@ def _span_rows(basis: Sequence[int], abstract: Sequence[int]) -> list[int]:
 
 def _complement_in(space_basis: Sequence[int], sub_rows: Sequence[int]) -> tuple[int, ...]:
     """A deterministic basis of a complement of the subspace inside the space."""
-    ech = EchelonBasis(sub_rows)
+    basis = list(_rref_ints(sub_rows))
     comp = []
     for b in space_basis:
-        reduced = ech.add(b)
-        if reduced is not None:
-            comp.append(reduced)
+        grown = _insert(basis, b)
+        if grown is not basis:
+            comp.append(grown[-1])
+            basis = grown
     return tuple(comp)
 
 

@@ -188,6 +188,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_census(args) -> int:
+    if args.n < 0:
+        raise InvalidInput(f"negative length {args.n}")
     ks = [args.k] if args.k is not None else list(range(0, args.n + 1))
     counts = {}
     for k in ks:

@@ -17,7 +17,7 @@ from .autgroup import (
     is_automorphism,
 )
 from .errors import InvalidInput, NotFixed, NotInvariant, TooLarge
-from .gf2 import EchelonBasis, LinearCode, Word, _rref_ints
+from .gf2 import LinearCode, Word, _insert, _rref_ints
 from .perm import (
     Perm,
     _apply_bits,
@@ -75,36 +75,18 @@ def fixed_subcode(code: LinearCode, p: Perm) -> LinearCode:
     """Subcode of words fixed coordinatewise by p.
 
     Computed as the kernel of (id + p) restricted to the code; p need
-    not be an automorphism of the code.
+    not be an automorphism of the code.  The rows (c + c^p) | c << n
+    over the generators c span the graph of id + p on the code; the rows
+    of its reduced basis that are zero below bit n are, shifted down,
+    the reduced basis of the kernel.
     """
-    if len(p.images) != code.n:
+    n = code.n
+    if len(p.images) != n:
         raise InvalidInput("length mismatch")
-    k = code.k
     imgs = p.images
-    # kernel of the combination map c -> sum_i c_i (g_i + g_i^p)
-    basis: list[tuple[int, int]] = []  # (value residue, combination)
-    kernel: list[int] = []
-    for i in range(k):
-        val = code.rows[i] ^ _apply_bits(imgs, code.rows[i])
-        comb = 1 << i
-        for bv, bc in basis:
-            if val & (bv & -bv):
-                val ^= bv
-                comb ^= bc
-        if val:
-            basis.append((val, comb))
-        else:
-            kernel.append(comb)
-    rows = []
-    for comb in kernel:
-        v = 0
-        b = comb
-        while b:
-            low = b & -b
-            v ^= code.rows[low.bit_length() - 1]
-            b ^= low
-        rows.append(v)
-    return LinearCode(code.n, _rref_ints(rows))
+    graph = _rref_ints((c ^ _apply_bits(imgs, c)) | c << n for c in code.rows)
+    low = (1 << n) - 1
+    return LinearCode(n, tuple(r >> n for r in graph if not r & low))
 
 
 def t_set(x: Word, sigma: Perm) -> TSet:
@@ -142,11 +124,13 @@ def decompose(code: LinearCode, sigma: Perm) -> FixedDecomposition:
     if not is_automorphism(code, sigma):
         raise NotInvariant("code is not invariant under the pairing involution")
     fixed = fixed_subcode(code, sigma)
-    acc = EchelonBasis(fixed.rows)
+    basis = list(fixed.rows)
     kept: list[int] = []
     for row in code.rows:
-        if acc.add(row) is not None:
+        grown = _insert(basis, row)
+        if grown is not basis:
             kept.append(row)
+            basis = grown
     x_list = [row ^ _apply_bits(sigma.images, row) for row in kept]
     return FixedDecomposition(
         fixed,

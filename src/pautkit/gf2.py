@@ -7,6 +7,13 @@ equality plain value equality (and hashing cheap).  Everything is
 0-based internally; the text file format and printed cycle notation at
 the API boundary are 1-based, with character i of a row string being
 coordinate i+1.
+
+Echelon convention: the pivot of a nonzero row is its lowest set bit,
+and a basis is kept reduced, so every row is zero at the pivot of every
+other row.  ``_reduce`` (the residue of a vector modulo such a basis)
+and ``_insert`` (grow the basis by one vector) are the only
+implementation of it; every elimination in the package goes through
+them.
 """
 
 from __future__ import annotations
@@ -77,54 +84,42 @@ def weight(w: Word) -> int:
     return w.bits.bit_count()
 
 
-def _rref_ints(rows: Iterable[int]) -> tuple[int, ...]:
-    """Reduced row echelon basis of the span of int rows; zero rows dropped.
+def _reduce(basis: Iterable[int], v: int) -> int:
+    """Residue of v modulo a reduced basis: zero at every pivot, and zero
+    exactly when v lies in the span."""
+    for b in basis:
+        if v & (b & -b):
+            v ^= b
+    return v
 
-    Every returned row is zero at the pivot (lowest set bit) of every
-    other row, and rows are sorted by pivot column.
+
+def _insert(basis: list[int], v: int, low_mask: int = -1) -> list[int] | None:
+    """Reduced basis of span(basis + [v]) as a new list; the residue of v
+    is its last row.
+
+    Returns ``basis`` itself when v is already in the span, and None when
+    the residue is nonzero but vanishes on ``low_mask`` (never for the
+    default mask).
     """
+    v = _reduce(basis, v)
+    if not v:
+        return basis
+    if not v & low_mask:
+        return None
+    piv = v & -v
+    grown = [b ^ v if b & piv else b for b in basis]
+    grown.append(v)
+    return grown
+
+
+def _rref_ints(rows: Iterable[int]) -> tuple[int, ...]:
+    """Reduced row echelon basis of the span of int rows, sorted by
+    pivot column; zero and dependent rows are dropped."""
     basis: list[int] = []
     for row in rows:
-        for b in basis:
-            if row & (b & -b):
-                row ^= b
-        if row:
-            piv = row & -row
-            basis = [b ^ row if b & piv else b for b in basis]
-            basis.append(row)
+        basis = _insert(basis, row)
     basis.sort(key=lambda r: r & -r)
     return tuple(basis)
-
-
-class EchelonBasis:
-    """Mutable reduced-echelon accumulator for independence tests."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[int] = ()):
-        self.rows: list[int] = []
-        for r in rows:
-            self.add(r)
-
-    def reduce(self, v: int) -> int:
-        """Canonical residue of v modulo the current span."""
-        for b in self.rows:
-            if v & (b & -b):
-                v ^= b
-        return v
-
-    def add(self, v: int) -> int | None:
-        """Insert v; return its reduced form, or None if already in the span."""
-        v = self.reduce(v)
-        if not v:
-            return None
-        piv = v & -v
-        self.rows = [b ^ v if b & piv else b for b in self.rows]
-        self.rows.append(v)
-        return v
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,13 +172,7 @@ class LinearCode:
         """Membership by reduction against the generator rows."""
         if w.n != self.n:
             raise InvalidInput("length mismatch")
-        return self._contains_bits(w.bits)
-
-    def _contains_bits(self, bits: int) -> bool:
-        for row in self.rows:
-            if bits & (row & -row):
-                bits ^= row
-        return bits == 0
+        return not _reduce(self.rows, w.bits)
 
     def _codeword_bits(self) -> Iterator[int]:
         if self.k > ENUMERATION_DIM_GUARD:

@@ -139,6 +139,8 @@ def check_half_dim_bound(trials: int = 10000, n_max: int = 12, seed: int = 0) ->
     """Planted-involution random codes: the fixed subcode always carries
     at least half the dimension."""
     t0 = time.monotonic()
+    if n_max < 2:
+        raise InvalidInput("need n_max >= 2")
     rng = Random(seed)
     rep = VerifyReport("lemma-2.1", n_max, (0, n_max), 0)
     for _ in range(trials):

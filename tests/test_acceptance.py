@@ -25,7 +25,7 @@ from pautkit import (
     t_set,
     t_sigma,
 )
-from pautkit.gf2 import EchelonBasis
+from pautkit.gf2 import _insert
 from pautkit.perm import (
     apply,
     canonical_sigma,
@@ -212,16 +212,18 @@ def test_criterion_pair_support_well_defined():
         reference = t_sigma(code, sigma).pairs
         fixed = fixed_subcode(code, sigma)
         for _ in range(100):
-            ech = EchelonBasis(fixed.rows)
+            basis = list(fixed.rows)
             union = frozenset()
-            while len(ech) < code.k:
+            while len(basis) < code.k:
                 mask = rng.getrandbits(code.k)
                 w = 0
                 for i in range(code.k):
                     if mask >> i & 1:
                         w ^= code.rows[i]
-                if ech.add(w) is None:
+                grown = _insert(basis, w)
+                if grown is basis:
                     continue
+                basis = grown
                 x = w ^ apply(sigma, Word(code.n, w)).bits
                 union |= t_set(Word(code.n, x), sigma).pairs
             assert union == reference

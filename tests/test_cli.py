@@ -89,6 +89,12 @@ def test_verify_prop34_rejects_other_lengths(capsys):
     assert "length 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-2"])
+def test_verify_lemma21_rejects_lengths_below_2(n, capsys):
+    assert main(["verify", "lemma-2.1", "--n", n, "--trials", "5"]) == 2
+    assert "n_max >= 2" in capsys.readouterr().err
+
+
 def test_verify_json_schema(capsys):
     assert main(["verify", "thm-3.2", "--n", "6", "--output", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -192,6 +198,12 @@ def test_census_cli(capsys):
 
     assert main(["census", "--n", "4", "--k", "2"]) == 0
     assert "k=2: 35" in capsys.readouterr().out
+
+
+def test_census_rejects_negative_length(capsys):
+    assert main(["census", "--n", "-3"]) == 2
+    assert "negative length" in capsys.readouterr().err
+    assert main(["census", "--n", "-3", "--sigma-invariant"]) == 2
 
 
 def test_json_outputs_are_byte_stable_modulo_elapsed(capsys):

@@ -2,6 +2,7 @@ import random
 from math import ceil
 
 import pytest
+from bruteforce import codeword_set, naive_rref, word_list
 
 from pautkit import (
     InvalidInput,
@@ -74,6 +75,40 @@ def test_fixed_subcode_is_invariant_subcode():
             for w in code.codewords():
                 if apply(beta, w) == w:
                     assert f.contains(w)
+
+
+def _random_permutation(rng, n):
+    """A 3-cycle, a product of disjoint cycles or a uniform permutation."""
+    images = list(range(n))
+    kind = rng.randrange(3)
+    if kind == 0 and n >= 3:
+        a, b, c = rng.sample(range(n), 3)
+        images[a], images[b], images[c] = b, c, a
+    elif kind == 1:
+        points = rng.sample(range(n), n)
+        while points:
+            size = rng.randint(1, 4)
+            cycle, points = points[:size], points[size:]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                images[a] = b
+    else:
+        rng.shuffle(images)
+    return Perm(tuple(images))
+
+
+def test_fixed_subcode_matches_filter_oracle_for_any_permutation():
+    # p need not be an involution or an automorphism of the code
+    rng = random.Random(89)
+    outside = 0
+    for _ in range(400):
+        n = rng.randrange(1, 11)
+        code = rref([Word(n, rng.getrandbits(n)) for _ in range(rng.randint(1, n))])
+        p = _random_permutation(rng, n)
+        outside += not is_automorphism(code, p)
+        fixed = sorted(c for c in codeword_set(code) if apply(p, Word(n, c)).bits == c)
+        expected = naive_rref([word_list(Word(n, c)) for c in fixed])
+        assert [word_list(g) for g in fixed_subcode(code, p).gens] == expected
+    assert outside > 200
 
 
 def test_half_dim_bound_holds():
@@ -201,12 +236,12 @@ def test_t_sigma_is_complement_independent():
 
 def _random_complement_union(rng, code, fixed, sigma):
     """T-union over a randomly chosen complement basis."""
-    from pautkit.gf2 import EchelonBasis
+    from pautkit.gf2 import _insert
 
-    ech = EchelonBasis(fixed.rows)
+    basis = list(fixed.rows)
     acc = frozenset()
     guard = 0
-    while len(ech) < code.k:
+    while len(basis) < code.k:
         guard += 1
         assert guard < 10000
         mask = rng.getrandbits(code.k)
@@ -214,8 +249,10 @@ def _random_complement_union(rng, code, fixed, sigma):
         for i in range(code.k):
             if mask >> i & 1:
                 w ^= code.rows[i]
-        if ech.add(w) is None:
+        grown = _insert(basis, w)
+        if grown is basis:
             continue
+        basis = grown
         x = w ^ apply(sigma, Word(code.n, w)).bits
         acc |= t_set(Word(code.n, x), sigma).pairs
     return acc
