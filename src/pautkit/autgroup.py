@@ -23,7 +23,11 @@ in increasing order, which is the order of
 ``perm.fixed_point_free_prime_order``.  The prunes cut only subtrees
 without automorphisms, so the first leaf is the first automorphism of
 that unpruned stream.  For p = 2 this is an involution search in which
-choosing i -> j forces j -> i.
+choosing i -> j forces j -> i.  The same search, with each cycle's lead
+free to stay fixed before it is paired, walks every involution of S_n in
+the lexicographic order of ``perm.involutions``; the witness ladder of
+``fixed.extra_automorphism_with_path`` takes its first leaf other than
+the identity and sigma as its last rung.
 """
 
 from __future__ import annotations
@@ -45,11 +49,7 @@ def is_automorphism(code: LinearCode, p: Perm) -> bool:
     """True iff the coordinate permutation maps the code onto itself."""
     if len(p.images) != code.n:
         raise InvalidInput("length mismatch")
-    return _is_automorphism_images(code, p.images)
-
-
-def _is_automorphism_images(code: LinearCode, images: tuple[int, ...]) -> bool:
-    return all(not _reduce(code.rows, _apply_bits(images, row)) for row in code.rows)
+    return all(not _reduce(code.rows, _apply_bits(p.images, row)) for row in code.rows)
 
 
 def _weight_signatures(code: LinearCode) -> list[tuple[int, ...]]:
@@ -407,13 +407,18 @@ def _primes_dividing(n: int) -> list[int]:
     return out
 
 
-def _fpf_prime_order_automorphisms(code: LinearCode) -> Iterator[tuple[int, ...]]:
-    """Image tables of the fixed point free prime-order automorphisms.
+def _cycle_automorphisms(
+    code: LinearCode, primes: Iterable[int], fixed_ok: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """Image tables of the automorphisms built from p-cycles, p in primes.
 
-    The primes dividing n are taken in increasing order, and for each the
-    search walks the tree of ``perm.fixed_point_free_prime_order``: a
-    cycle starts at the least unassigned point and its members are chosen
-    in increasing order from the remaining points.  Each arc a -> b is
+    For each p in the given order the search walks the tree of
+    ``perm.fixed_point_free_prime_order``: a cycle starts at the least
+    unassigned point and its members are chosen in increasing order from
+    the remaining points.  With ``fixed_ok`` a cycle's lead may first
+    close on itself, a fixed point, before it is extended; for p = 2 this
+    is the tree of ``perm.involutions``, whose leaves are every involution
+    in lexicographic order, preceded by the identity.  Each arc a -> b is
     pruned when chosen, by the weight signatures and by the two echelon
     inserts of ``_automorphism_images``.  A prune cuts only subtrees
     without automorphisms and every surviving leaf is one, so this yields
@@ -442,18 +447,19 @@ def _fpf_prime_order_automorphisms(code: LinearCode) -> Iterator[tuple[int, ...]
         p: int, lead: int, last: int, length: int, fwd: list[int], bwd: list[int]
     ) -> Iterator[tuple[int, ...]]:
         # the open cycle runs from lead to last and holds `length` points
-        if length == p:
+        if length == p or fixed_ok and length == 1:
+            # close the cycle on its lead; a lone lead becomes a fixed point
             bases = arc(last, lead, fwd, bwd)
-            if bases is None:
+            if bases is not None:
+                nxt = next((x for x in range(lead + 1, n) if not used[x]), None)
+                if nxt is None:
+                    yield tuple(images)
+                else:
+                    used[nxt] = True
+                    yield from rec(p, nxt, nxt, 1, *bases)
+                    used[nxt] = False
+            if length == p:
                 return
-            nxt = next((x for x in range(lead + 1, n) if not used[x]), None)
-            if nxt is None:
-                yield tuple(images)
-                return
-            used[nxt] = True
-            yield from rec(p, nxt, nxt, 1, *bases)
-            used[nxt] = False
-            return
         for b in range(lead + 1, n):
             if used[b] or sigs[b] != sigs[lead]:
                 continue
@@ -464,7 +470,7 @@ def _fpf_prime_order_automorphisms(code: LinearCode) -> Iterator[tuple[int, ...]
             yield from rec(p, lead, b, length + 1, *bases)
             used[b] = False
 
-    for p in _primes_dividing(n):
+    for p in primes:
         used[0] = True
         yield from rec(p, 0, 0, 1, [], [])
         used[0] = False
@@ -477,14 +483,13 @@ def quasi_group_witness(code: LinearCode) -> Perm | None:
     nontrivial free subgroup contains one, so this decides the quasi
     group property exactly.  The witness is the first automorphism of
     ``perm.fixed_point_free_prime_order(n, p)`` over the primes p | n in
-    increasing order; the pruned cycle search of
-    ``_fpf_prime_order_automorphisms`` finds that same element without
-    testing the candidates one by one.
+    increasing order; the pruned cycle search of ``_cycle_automorphisms``
+    finds that same element without testing the candidates one by one.
     """
     n = code.n
     if n > LENGTH_GUARD:
         raise TooLarge(f"quasi group test limited to length {LENGTH_GUARD}")
-    for imgs in _fpf_prime_order_automorphisms(code):
+    for imgs in _cycle_automorphisms(code, _primes_dividing(n)):
         return Perm(imgs)
     return None
 

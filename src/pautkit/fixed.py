@@ -11,20 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .autgroup import (
-    LENGTH_GUARD,
-    _is_automorphism_images,
-    is_automorphism,
-)
+from .autgroup import LENGTH_GUARD, _cycle_automorphisms, is_automorphism
 from .errors import InvalidInput, NotFixed, NotInvariant, TooLarge
 from .gf2 import LinearCode, Word, _insert, _rref_ints
-from .perm import (
-    Perm,
-    _apply_bits,
-    _involution_images,
-    from_transpositions,
-    pair_product,
-)
+from .perm import Perm, _apply_bits, from_transpositions, pair_product
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,8 +291,10 @@ def extra_automorphism_with_path(
 
     Tries the cheap constructive witnesses first (complement of the pair
     support, then the pair products attached to fixed words), then the
-    4-dimensional case constructions, and finally brute force over all
-    involutions.
+    4-dimensional case constructions, and finally the lexicographically
+    first involution automorphism other than sigma, found by the pruned
+    cycle search of ``autgroup._cycle_automorphisms`` (labelled "brute
+    force", the exhaustive search it replaces).
     """
     found = _cheap_witness(code, sigma)
     if found is not None:
@@ -316,9 +308,9 @@ def extra_automorphism_with_path(
     n = code.n
     if n > LENGTH_GUARD:
         raise TooLarge(f"brute force fallback limited to length {LENGTH_GUARD}")
-    sig_imgs = sigma.images
-    for imgs in _involution_images(n):
-        if imgs != sig_imgs and _is_automorphism_images(code, imgs):
+    skip = (tuple(range(n)), sigma.images)
+    for imgs in _cycle_automorphisms(code, (2,), fixed_ok=True):
+        if imgs not in skip:
             return Perm(imgs), "brute force"
     return None
 

@@ -242,16 +242,18 @@ def generate(perms: Iterable[Perm], limit: int = 100000) -> set[Perm]:
     return elems
 
 
-def _involution_images(n: int) -> Iterator[tuple[int, ...]]:
-    """All image tables of order-2 permutations, lexicographically."""
+def involutions(n: int) -> Iterator[Perm]:
+    """All permutations of order exactly 2, in lexicographic image order;
+    ``autgroup._cycle_automorphisms`` prunes this tree (p = 2, fixed
+    points allowed)."""
     imgs = list(range(n))
 
-    def rec(i: int, moved: bool) -> Iterator[tuple[int, ...]]:
+    def rec(i: int, moved: bool) -> Iterator[Perm]:
         while i < n and imgs[i] != i:
             i += 1
         if i == n:
             if moved:
-                yield tuple(imgs)
+                yield Perm(tuple(imgs))
             return
         # leaving i fixed keeps imgs[i] == i, the lexicographically least choice
         yield from rec(i + 1, moved)
@@ -264,18 +266,12 @@ def _involution_images(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, False)
 
 
-def involutions(n: int) -> Iterator[Perm]:
-    """All permutations of order exactly 2, in lexicographic image order."""
-    for imgs in _involution_images(n):
-        yield Perm(imgs)
-
-
 def fixed_point_free_prime_order(n: int, p: int) -> Iterator[Perm]:
     """All fixed point free permutations of prime order p in S_n.
 
     Each cycle starts at the least point not yet used; its other members
     run lexicographically over the remaining points, so the stream is the
-    tree that ``autgroup.quasi_group_witness`` searches with prunes.
+    tree that ``autgroup._cycle_automorphisms`` searches with prunes.
     """
     if n % p:
         return

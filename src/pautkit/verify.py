@@ -141,6 +141,8 @@ def check_half_dim_bound(trials: int = 10000, n_max: int = 12, seed: int = 0) ->
     t0 = time.monotonic()
     if n_max < 2:
         raise InvalidInput("need n_max >= 2")
+    if trials < 1:
+        raise InvalidInput("need trials >= 1")
     rng = Random(seed)
     rep = VerifyReport("lemma-2.1", n_max, (0, n_max), 0)
     for _ in range(trials):
@@ -368,6 +370,8 @@ def check_fixed_point_witness(
     t0 = time.monotonic()
     if n_max < 4:
         raise InvalidInput("need n_max >= 4")
+    if trials < 1:
+        raise InvalidInput("need trials >= 1")
     rng = Random(seed)
     rep = VerifyReport("thm-5.1", n_max, (0, n_max), 0)
     sigmas = {n: canonical_sigma(n) for n in range(4, n_max + 1, 2)}

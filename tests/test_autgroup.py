@@ -17,13 +17,14 @@ from pautkit import (
     quasi_group_witness,
     rref,
 )
-from pautkit.autgroup import StabilizerChain, _fpf_prime_order_automorphisms
+from pautkit.autgroup import StabilizerChain, _cycle_automorphisms, _primes_dividing
 from pautkit.perm import (
     compose,
     conjugate,
     fixed_point_free_prime_order,
     generate,
     image_code,
+    involutions,
     is_fixed_point_free,
     is_involution,
 )
@@ -338,7 +339,13 @@ def test_quasi_group_witness_equals_bruteforce_first_hit():
                 for g in fixed_point_free_prime_order(code.n, p)
                 if is_automorphism(code, g)
             ]
-            assert list(_fpf_prime_order_automorphisms(code)) == brute
+            assert list(_cycle_automorphisms(code, _primes_dividing(code.n))) == brute
+            # with fixed points allowed, p = 2 walks every involution
+            ident = tuple(range(code.n))
+            pruned = _cycle_automorphisms(code, (2,), fixed_ok=True)
+            assert [imgs for imgs in pruned if imgs != ident] == [
+                g.images for g in involutions(code.n) if is_automorphism(code, g)
+            ]
         checked += 1
         found += expected is not None
     assert checked == 139 and 0 < found < checked

@@ -95,6 +95,13 @@ def test_verify_lemma21_rejects_lengths_below_2(n, capsys):
     assert "n_max >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ["lemma-2.1", "thm-5.1"])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_random_suites_reject_trials_below_1(check, trials, capsys):
+    assert main(["verify", check, "--trials", trials]) == 2
+    assert "trials >= 1" in capsys.readouterr().err
+
+
 def test_verify_json_schema(capsys):
     assert main(["verify", "thm-3.2", "--n", "6", "--output", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

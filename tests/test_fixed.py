@@ -317,16 +317,23 @@ def test_extra_automorphism_full_space():
 
 
 def test_extra_automorphism_exhaustive_dim4_small():
+    # the paper's constructions answer every 4-dimensional invariant code
+    # at n = 8 and 10; only four codes at n = 6 fall through to the search
     from pautkit.census import enumerate_sigma_invariant
 
-    for n in (6, 8):
+    for n, codes, searched in ((6, 35, 4), (8, 771, 0), (10, 14291, 0)):
         sigma = canonical_sigma(n)
+        seen = fallback = 0
         for code in enumerate_sigma_invariant(n, 4):
-            a = extra_automorphism(code, sigma)
-            assert a is not None
+            a, label = extra_automorphism_with_path(code, sigma)
             assert a != sigma
             assert is_involution(a)
             assert is_automorphism(code, a)
+            seen += 1
+            if label == "brute force":
+                fallback += 1
+                assert fixed_subcode(code, sigma).k == 2
+        assert (seen, fallback) == (codes, searched)
 
 
 def test_extra_automorphism_none_only_when_no_other_involution():

@@ -344,9 +344,14 @@ ORDER_TWO_LENGTH12_REPS = (
 
 
 def test_length12_order_two_group_representatives():
-    from pautkit import Perm, find_automorphism_outside, is_automorphism, paut
-    from pautkit.perm import _involution_images
-    from pautkit.autgroup import _is_automorphism_images
+    from pautkit import (
+        Perm,
+        extra_automorphism,
+        find_automorphism_outside,
+        is_automorphism,
+        paut,
+    )
+    from pautkit.perm import involutions
 
     sigma = canonical_sigma(12)
     ident = Perm.identity(12)
@@ -360,10 +365,12 @@ def test_length12_order_two_group_representatives():
         assert report.is_cyclic_of_order_2
         assert report.has_fpf_involution and not report.has_fixed_point_involution
         assert pairing_group_is_everything(code, sigma)
+        assert extra_automorphism(code, sigma) is None
         # the dual has the same group
         dual = code.dual()
         assert dual.k == 6 and is_automorphism(dual, sigma)
         assert pairing_group_is_everything(dual, sigma)
+        assert extra_automorphism(dual, sigma) is None
 
     # consistency with the structural results: a pairing-only group
     # forces the fixed dimension into [ceil(k/2), k-2] and a full pair
@@ -378,9 +385,9 @@ def test_length12_order_two_group_representatives():
     # independent recount for the first representative: no involution in
     # S_12 besides the pairing maps the code onto itself
     code = LinearCode.from_strings(list(ORDER_TWO_LENGTH12_REPS[0]))
-    for imgs in _involution_images(12):
-        if imgs != sigma.images:
-            assert not _is_automorphism_images(code, imgs)
+    for g in involutions(12):
+        if g != sigma:
+            assert not is_automorphism(code, g)
 
 
 def test_length12_representatives_vf2_recount():
