@@ -16,6 +16,12 @@ and every automorphism is a leaf, so the stream is exact.  Orders of
 potentially huge groups are tracked with an incremental Schreier-Sims
 stabilizer chain instead of materializing the element set.
 
+Both searches run on the smaller of C and its dual: PAut(C) =
+PAut(C-perp), and the prunes are exact, so the two trees have the same
+leaves in the same lexicographic order, while the tree of a k = 5 dual
+at n = 12 is about ten times cheaper to walk than that of its k = 7
+code.
+
 The quasi group test searches a narrower tree with the same two prunes:
 fixed point free elements of prime order p, built one p-cycle at a time.
 Each cycle starts at the least unassigned point and its members follow
@@ -78,12 +84,23 @@ def _columns(code: LinearCode) -> list[int]:
     return cols
 
 
+def _smaller_side(code: LinearCode) -> LinearCode:
+    """The code or its dual, whichever has the smaller dimension.
+
+    PAut(C) = PAut(C-perp), and both searches walk the same tree of
+    image tables with exact prunes, so they yield the same stream; the
+    tree of the smaller dimension is the cheaper one to walk.
+    """
+    return code.dual() if 2 * code.k > code.n else code
+
+
 def _automorphism_images(code: LinearCode) -> Iterator[tuple[int, ...]]:
     """All automorphism image tables in lexicographic order."""
-    n, k = code.n, code.k
-    if n > LENGTH_GUARD:
+    if code.n > LENGTH_GUARD:
         raise TooLarge(f"automorphism search limited to length {LENGTH_GUARD}")
-    if k == 0 or k == n:
+    code = _smaller_side(code)
+    n, k = code.n, code.k
+    if k == 0:
         yield from _sym_images(range(n))
         return
 
@@ -424,10 +441,11 @@ def _cycle_automorphisms(
     without automorphisms and every surviving leaf is one, so this yields
     exactly the automorphisms of the unpruned stream, in its order.
     """
+    code = _smaller_side(code)
     n, k = code.n, code.k
     cols = _columns(code)
-    # every coordinate has the same signature when k is 0 or n
-    sigs = [()] * n if k in (0, n) else _weight_signatures(code)
+    # every coordinate has the same signature when k is 0
+    sigs = [()] * n if k == 0 else _weight_signatures(code)
     low_mask = (1 << k) - 1
     images = [0] * n
     used = [False] * n

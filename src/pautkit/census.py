@@ -178,13 +178,28 @@ def enumerate_sigma_invariant(n: int, k: int) -> Iterator[LinearCode]:
 def _invariant_range(
     n: int, k: int, involution: Perm, start: int, step: int
 ) -> Iterator[LinearCode]:
-    """Stream positions start, start+step, ... of the invariant census.
+    """Stream positions start, start+step, ... of the invariant census,
+    as the codes spanned by the F_C rows and the twist rows of
+    ``_invariant_positions``."""
+    for _u_rows, fc_rows, wrows in _invariant_positions(n, k, involution, start, step):
+        yield LinearCode(n, _rref_ints(fc_rows + wrows))
+
+
+def _invariant_positions(
+    n: int, k: int, involution: Perm, start: int, step: int
+) -> Iterator[tuple[list[int], tuple[int, ...], tuple[int, ...]]]:
+    """The (U rows, F_C rows, twist rows) of positions start, start+step,
+    ... of the invariant census; the code at a position is spanned by its
+    F_C rows and its twist rows.
 
     The stream walks U, then F_C, then the twist matrix L as a binary
     counter.  In the band dim U = a, position (iU*n_S + iS)*2^(a*t) + L of
     the band holds the iU-th U, its iS-th F_C (of n_S) and twist L.
     Each selected position is addressed by rank, with U and F_C rebuilt
     only when they change, so a shard costs only the codes it yields.
+    The U rows are a basis of U = (id + involution)C and the F_C rows are
+    the reduced basis of C intersected with the fixed space; both are
+    the same objects for as long as the block (U, F_C) does not change.
     """
     if not 0 <= k <= n:
         raise InvalidInput(f"dimension {k} out of range for length {n}")
@@ -231,7 +246,7 @@ def _invariant_range(
                         add ^= rbasis[j]
                     lval >>= 1
                 wrows.append(lift ^ add)
-            yield LinearCode(n, _rref_ints(list(fc_rows) + wrows))
+            yield u_rows, fc_rows, tuple(wrows)
         pos = end
 
 

@@ -190,6 +190,8 @@ def cmd_witness(args) -> int:
 def cmd_census(args) -> int:
     if args.n < 0:
         raise InvalidInput(f"negative length {args.n}")
+    if args.k is not None and not 0 <= args.k <= args.n:
+        raise InvalidInput(f"dimension {args.k} out of range for length {args.n}")
     ks = [args.k] if args.k is not None else list(range(0, args.n + 1))
     counts = {}
     for k in ks:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .autgroup import LENGTH_GUARD, _cycle_automorphisms, is_automorphism
 from .errors import InvalidInput, NotFixed, NotInvariant, TooLarge
-from .gf2 import LinearCode, Word, _insert, _rref_ints
+from .gf2 import LinearCode, Word, _insert, _reduce, _rref_ints
 from .perm import Perm, _apply_bits, from_transpositions, pair_product
 
 
@@ -196,6 +197,45 @@ def _cheap_witness(code: LinearCode, sigma: Perm) -> tuple[Perm, str] | None:
         if a != sigma and is_automorphism(code, a):
             return a, "alpha-x"
     return None
+
+
+def _block_complement(n: int, u_rows: Sequence[int]) -> Perm | None:
+    """The complement rung's witness, shared by every code of a census
+    block whose image under id + sigma is spanned by ``u_rows``; None
+    when the pair support of that image is every pair, or n < 4."""
+    acc = 0
+    for u in u_rows:
+        acc |= u
+    return _support_complement(n, TSet(_pair_support(acc, n // 2))) if n >= 4 else None
+
+
+def _block_settled(n: int, u_rows: Sequence[int], fc_rows: Sequence[int]) -> bool:
+    """Whether the cheap rungs settle every code of a census block, that
+    is every sigma-invariant code C with (id + sigma)C spanned by
+    ``u_rows`` and fixed subcode F_C with reduced basis ``fc_rows``.
+
+    For each such code this equals ``_cheap_witness(code, sigma) is not
+    None``, whatever its twist.  The complement rung depends only on the
+    pair support of U.  For x in F_C, alpha-x fixes F_C pointwise and
+    adds x & u to a codeword c with c + c^sigma = u, so it is an
+    automorphism exactly when x & u lies in F_C for every row u; those x
+    form the kernel K of x -> (x & u mod F_C)_u, found like
+    ``fixed_subcode`` as the rows of a graph basis that vanish on the
+    image part.  The rung exits when K holds a word other than 0 and the
+    all-ones word, whose alpha-x is sigma itself.
+    """
+    if _block_complement(n, u_rows) is not None:
+        return True
+    shift = n * len(u_rows)
+    graph = []
+    for x in fc_rows:
+        image = 0
+        for u in u_rows:
+            image = image << n | _reduce(fc_rows, x & u)
+        graph.append(image | x << shift)
+    low = (1 << shift) - 1
+    kernel = [r >> shift for r in _rref_ints(graph) if not r & low]
+    return len(kernel) > 1 or bool(kernel) and kernel[0] != (1 << n) - 1
 
 
 def _pair_bit(bits: int, p: int) -> int:

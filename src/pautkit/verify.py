@@ -10,14 +10,16 @@ time field).
 
 from __future__ import annotations
 
+import fcntl
 import json
 import multiprocessing
 import os
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from math import factorial
 from random import Random
+from typing import Iterator
 
 from .autgroup import (
     find_automorphism_outside,
@@ -28,20 +30,22 @@ from .autgroup import (
     _automorphism_images,
 )
 from .census import (
-    _invariant_range,
+    _invariant_positions,
     enumerate_invariant,
     enumerate_sigma_invariant,
     enumerate_subspaces,
 )
-from .errors import InvalidInput, TooLarge
+from .errors import InvalidInput, NotInvariant, TooLarge
 from .fixed import (
+    _block_complement,
+    _block_settled,
     _cheap_witness,
     extra_automorphism,
     fixed_point_witness,
     fixed_subcode,
     t_sigma,
 )
-from .gf2 import LinearCode, _rref_ints
+from .gf2 import LinearCode, _reduce, _rref_ints
 from .perm import (
     Perm,
     _apply_bits,
@@ -424,18 +428,43 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dic
     """Scan one journal unit; returns (scanned, counterexample dicts).
 
     The unit's codes sit at stream positions sidx + (unit + m*units)*stotal,
-    an arithmetic progression; the range enumerator addresses each of them
-    by rank, so the unit builds only its own codes.
+    an arithmetic progression; the position walker addresses each of them
+    by rank, so the unit builds only its own codes.  The cheap rungs of
+    the witness ladder are decided once per (U, F_C) block of the census
+    by ``fixed._block_settled``, and only the codes of the blocks they do
+    not settle are built and searched, which gives the same outcome as
+    ``pairing_group_is_everything`` on every code.  Every code is still
+    checked on its generator rows: the F_C rows must be fixed by sigma
+    and each twist row w must have w + w^sigma in F_C, and a complement
+    witness must fix each twist row.
     """
     n, k, unit, units, sidx, stotal = args
     sigma = canonical_sigma(n)
+    allowed = (Perm.identity(n), sigma)
+    # sigma swaps the two bits of every pair (2p, 2p+1)
+    low_bits = int("01" * (n // 2), 2)
     scanned = 0
     ces: list[dict] = []
-    for code in _invariant_range(
+    block = None
+    for u_rows, fc_rows, wrows in _invariant_positions(
         n, k, sigma, sidx + unit * stotal, units * stotal
     ):
         scanned += 1
-        if pairing_group_is_everything(code, sigma):
+        if fc_rows is not block:
+            block = fc_rows
+            if any((x ^ x >> 1) & low_bits for x in fc_rows):
+                raise NotInvariant("code is not invariant under the pairing involution")
+            witness = _block_complement(n, u_rows)
+            settled = witness is not None or _block_settled(n, u_rows, fc_rows)
+        for w in wrows:
+            if _reduce(fc_rows, w ^ ((w & low_bits) << 1 | (w >> 1) & low_bits)):
+                raise NotInvariant("code is not invariant under the pairing involution")
+        if settled:
+            if witness is not None and any(_apply_bits(witness.images, w) != w for w in wrows):
+                raise RuntimeError("fixed point witness failed validation")
+            continue
+        code = LinearCode(n, _rref_ints(fc_rows + wrows))
+        if find_automorphism_outside(code, allowed) is None:
             ces.append(Counterexample(code, "automorphism group is exactly the pairing").to_dict())
     return scanned, ces
 
@@ -513,6 +542,23 @@ def _is_unit_record(rec: dict) -> bool:
     )
 
 
+@contextmanager
+def _journal_lock(path) -> Iterator[None]:
+    """Hold an exclusive lock on the journal (created if missing) for the
+    whole scan; a second scan on the same journal is refused rather than
+    interleaving its records.  Only this process writes the journal, so
+    worker processes need no lock of their own."""
+    fd = os.open(path, os.O_RDONLY | os.O_CREAT, 0o666)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError as exc:
+            raise InvalidInput(f"journal {path} is in use by another scan") from exc
+        yield
+    finally:
+        os.close(fd)
+
+
 def _append_journal(path, record: dict) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record) + "\n")
@@ -536,7 +582,9 @@ def conjecture_search(
     with its generators.  Work is split into per-dimension units that
     are journaled as they complete, so an interrupted scan resumes
     without rescanning; ``scanned`` counts only this invocation's work
-    while counterexamples aggregate the journal too.
+    while counterexamples aggregate the journal too.  The journal is
+    locked for the whole call, and a second scan on a locked journal
+    raises ``InvalidInput`` without touching it.
     """
     t0 = time.monotonic()
     _require_even(n)
@@ -555,34 +603,34 @@ def conjecture_search(
         raise InvalidInput("jobs must be at least 1")
 
     config = _journal_config(n, lo, hi, (idx, total))
-    done, all_ces = _load_journal(journal_path, config)
-    todo = [
-        (k, u)
-        for k in range(lo, hi + 1)
-        for u in range(_JOURNAL_UNITS)
-        if (k, u) not in done
-    ]
-    work = [(n, k, u, _JOURNAL_UNITS, idx, total) for (k, u) in todo]
-
     rep = VerifyReport("conjecture", n, (lo, hi), 0, slice=(idx, total))
-    parallel = jobs > 1 and len(work) > 1
-    with multiprocessing.Pool(jobs) if parallel else nullcontext() as pool:
-        results = pool.imap(_scan_unit, work) if parallel else map(_scan_unit, work)
-        for (k, u), (scanned, ces) in zip(todo, results):
-            if journal_path is not None:
-                _append_journal(
-                    journal_path,
-                    {
-                        "type": "unit",
-                        "k": k,
-                        "unit": u,
-                        "scanned": scanned,
-                        "counterexamples": ces,
-                    },
-                )
-            rep.scanned += scanned
-            rep.witnesses_checked += scanned - len(ces)
-            all_ces.extend(ces)
+    with _journal_lock(journal_path) if journal_path is not None else nullcontext():
+        done, all_ces = _load_journal(journal_path, config)
+        todo = [
+            (k, u)
+            for k in range(lo, hi + 1)
+            for u in range(_JOURNAL_UNITS)
+            if (k, u) not in done
+        ]
+        work = [(n, k, u, _JOURNAL_UNITS, idx, total) for (k, u) in todo]
+        parallel = jobs > 1 and len(work) > 1
+        with multiprocessing.Pool(jobs) if parallel else nullcontext() as pool:
+            results = pool.imap(_scan_unit, work) if parallel else map(_scan_unit, work)
+            for (k, u), (scanned, ces) in zip(todo, results):
+                if journal_path is not None:
+                    _append_journal(
+                        journal_path,
+                        {
+                            "type": "unit",
+                            "k": k,
+                            "unit": u,
+                            "scanned": scanned,
+                            "counterexamples": ces,
+                        },
+                    )
+                rep.scanned += scanned
+                rep.witnesses_checked += scanned - len(ces)
+                all_ces.extend(ces)
     for ce in all_ces:
         code = LinearCode.from_strings(ce["generators"]) if ce["generators"] else LinearCode.zero(n)
         rep.counterexamples.append(Counterexample(code, ce["reason"]))

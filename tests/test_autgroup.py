@@ -164,6 +164,31 @@ def test_paut_equals_dual_paut():
             assert paut(c).order == paut(c.dual()).order
 
 
+
+def test_dual_side_search_keeps_every_stream():
+    # codes with 2k > n are searched through their duals; the element
+    # stream, the cycle-shaped streams and the generators must stay those
+    # of the code itself
+    rng = random.Random(43)
+    checked = 0
+    for n in range(2, 8):
+        for k in range(n // 2 + 1, n + 1):
+            for _ in range(3):
+                c = rand_code(rng, n, rows=k)
+                if 2 * c.k <= n:
+                    continue
+                checked += 1
+                mine = [p.images for p in automorphisms(c)]
+                assert mine == list(brute_automorphism_images(c))
+                primes = _primes_dividing(n)
+                for fixed_ok in (False, True):
+                    assert list(_cycle_automorphisms(c, primes, fixed_ok)) == list(
+                        _cycle_automorphisms(c.dual(), primes, fixed_ok)
+                    )
+                assert paut(c).generators == paut(c.dual()).generators
+    assert checked >= 30
+
+
 def test_paut_transport_under_equivalence():
     rng = random.Random(41)
     for _ in range(20):

@@ -220,3 +220,12 @@ def test_json_outputs_are_byte_stable_modulo_elapsed(capsys):
     second = json.loads(capsys.readouterr().out)
     first["elapsed_ms"] = second["elapsed_ms"] = 0
     assert json.dumps(first) == json.dumps(second)
+
+
+@pytest.mark.parametrize("k", [-3, 13])
+def test_census_rejects_dimension_out_of_range(k, capsys):
+    assert main(["census", "--n", "12", "--k", str(k)]) == 2
+    captured = capsys.readouterr()
+    assert f"dimension {k} out of range" in captured.err
+    assert captured.out == ""
+    assert main(["census", "--n", "12", "--k", str(k), "--sigma-invariant"]) == 2

@@ -315,6 +315,57 @@ def test_conjecture_parallel_matches_serial(tmp_path):
     assert serial_units == par_units
 
 
+def test_conjecture_second_writer_is_refused(tmp_path):
+    # this process holds the journal lock the way a running scan does; a
+    # second scan on the journal, in its own process, must exit 2 and
+    # leave the file as it was
+    import fcntl
+    import os
+    import subprocess
+    import sys
+
+    import pautkit
+
+    journal = tmp_path / "scan.ndjson"
+    journal.write_text(_journal_text({"type": "config", "config": _journal_config(10, 5, 5, (0, 64))}))
+    before = journal.read_bytes()
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pautkit.__file__))}
+    cmd = [sys.executable, "-m", "pautkit", "conjecture", "--n", "10", "--slice", "0/64"]
+    cmd += ["--journal", str(journal)]
+    with open(journal, "rb") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "in use by another scan" in proc.stderr
+    assert proc.stdout == ""
+    assert journal.read_bytes() == before
+    # once the lock is released the same scan runs on the journal
+    assert conjecture_search(10, slice_=(0, 64), journal_path=str(journal)).scanned == 286
+    assert len(journal.read_text().splitlines()) == 17
+
+
+def test_scan_unit_matches_per_code_ladder():
+    # the block-level scan of one journal unit per k of the n = 12 slice
+    # 0/100 against the per-code ladder over the same stream positions
+    from pautkit.census import _invariant_range
+    from pautkit.verify import _JOURNAL_UNITS, _scan_unit
+
+    sigma = canonical_sigma(12)
+    unit, idx, total = 0, 0, 100
+    hits = 0
+    for k in (5, 6, 7):
+        start, step = idx + unit * total, _JOURNAL_UNITS * total
+        codes = list(_invariant_range(12, k, sigma, start, step))
+        want = [
+            Counterexample(c, "automorphism group is exactly the pairing").to_dict()
+            for c in codes
+            if pairing_group_is_everything(c, sigma)
+        ]
+        assert _scan_unit((12, k, unit, _JOURNAL_UNITS, idx, total)) == (len(codes), want)
+        hits += len(want)
+    assert hits == 34
+
+
 # Representatives of the two permutation-equivalence classes of [12,6]
 # codes whose automorphism group is exactly the pairing involution,
 # found by the full n=12 scan (46080 codes, 23040 per class).  Their
@@ -425,9 +476,11 @@ def test_length12_shard_detects_order_two_groups():
 
 @pytest.mark.slow
 def test_length12_full_scan_totals():
-    """Reproduces the full length-12 scan (~11 CPU-minutes): 2410873
-    invariant codes at dimensions 5..7, of which exactly 46080 (all of
-    dimension 6) have automorphism group exactly the pairing."""
+    """Reproduces the full length-12 scan: 2410873 invariant codes at
+    dimensions 5..7, of which exactly 46080 (all of dimension 6) have
+    automorphism group exactly the pairing.  About 3 CPU-minutes (96 s
+    wall with 4 workers on 2 cores, Python 3.11.7); CI runs it weekly
+    and on demand."""
     report = conjecture_search(12, jobs=4)
     assert report.scanned == 2410873
     assert len(report.counterexamples) == 46080
