@@ -34,6 +34,29 @@ free to stay fixed before it is paired, walks every involution of S_n in
 the lexicographic order of ``perm.involutions``; the witness ladder of
 ``fixed.extra_automorphism_with_path`` takes its first leaf other than
 the identity and sigma as its last rung.
+
+Whether PAut(C) is exactly <sigma>, for a code invariant under the
+pairing sigma = (0,1)(2,3)..., is decided by two searches far smaller
+than the full tree (``_group_is_pairing``):
+
+(a) the centraliser C(sigma) = Z_2 wr S_{n/2} holds no automorphism
+    other than the identity and sigma.  Its search maps one pair at a
+    time onto a free pair, straight or crossed, so its tree has at most
+    2^(n/2) (n/2)! leaves (46080 at n = 12, against 12!);
+(b) no fixed point free involution other than sigma is an automorphism,
+    the p = 2 cycle search.
+
+Why this is exact: let G = PAut(C), with sigma in G.  If (a) holds, the
+centraliser of sigma in G is <sigma>, so <sigma> is a Sylow 2-subgroup
+of G, and by Burnside's normal p-complement theorem G = N x| <sigma>
+with N of odd order.  sigma acts on N without fixed points, so it
+inverts N, and for n in N with n = m^2 (m in N, as |N| is odd) sigma n =
+m^-1 sigma m.  Every n != 1 thus gives a conjugate of sigma other than
+sigma, which is a fixed point free involution in G.  Hence G = <sigma>
+exactly when (a) and (b) both hold; (b) runs only when (a) does.  The
+search is Leon's backtrack (J. S. Leon, "Computing automorphism groups
+of error-correcting codes", IEEE Trans. IT 28, 1982) restricted to the
+centraliser.
 """
 
 from __future__ import annotations
@@ -424,6 +447,31 @@ def _primes_dividing(n: int) -> list[int]:
     return out
 
 
+def _search_side(code: LinearCode):
+    """Set-up shared by the pruned searches, made once per code: the
+    length, the per-coordinate weight signatures of the smaller side,
+    and its arc test.  ``arc(a, b, fwd, bwd)`` returns the two echelon
+    bases of ``_automorphism_images`` grown by a -> b, or None when that
+    arc is inconsistent with the arcs chosen so far."""
+    code = _smaller_side(code)
+    n, k = code.n, code.k
+    cols = _columns(code)
+    # every coordinate has the same signature when k is 0
+    sigs = [()] * n if k == 0 else _weight_signatures(code)
+    low_mask = (1 << k) - 1
+
+    def arc(a: int, b: int, fwd: list[int], bwd: list[int]):
+        f2 = _insert(fwd, cols[b] | (cols[a] << k), low_mask)
+        if f2 is None:
+            return None
+        b2 = _insert(bwd, cols[a] | (cols[b] << k), low_mask)
+        if b2 is None:
+            return None
+        return f2, b2
+
+    return n, sigs, arc
+
+
 def _cycle_automorphisms(
     code: LinearCode, primes: Iterable[int], fixed_ok: bool = False
 ) -> Iterator[tuple[int, ...]]:
@@ -441,25 +489,16 @@ def _cycle_automorphisms(
     without automorphisms and every surviving leaf is one, so this yields
     exactly the automorphisms of the unpruned stream, in its order.
     """
-    code = _smaller_side(code)
-    n, k = code.n, code.k
-    cols = _columns(code)
-    # every coordinate has the same signature when k is 0
-    sigs = [()] * n if k == 0 else _weight_signatures(code)
-    low_mask = (1 << k) - 1
+    return _cycle_search(_search_side(code), primes, fixed_ok)
+
+
+def _cycle_search(
+    side, primes: Iterable[int], fixed_ok: bool = False
+) -> Iterator[tuple[int, ...]]:
+    # the search of _cycle_automorphisms on a prepared _search_side
+    n, sigs, arc = side
     images = [0] * n
     used = [False] * n
-
-    def arc(a: int, b: int, fwd: list[int], bwd: list[int]):
-        # set a -> b and return the grown bases, or None if inconsistent
-        f2 = _insert(fwd, cols[b] | (cols[a] << k), low_mask)
-        if f2 is None:
-            return None
-        b2 = _insert(bwd, cols[a] | (cols[b] << k), low_mask)
-        if b2 is None:
-            return None
-        images[a] = b
-        return f2, b2
 
     def rec(
         p: int, lead: int, last: int, length: int, fwd: list[int], bwd: list[int]
@@ -469,6 +508,7 @@ def _cycle_automorphisms(
             # close the cycle on its lead; a lone lead becomes a fixed point
             bases = arc(last, lead, fwd, bwd)
             if bases is not None:
+                images[last] = lead
                 nxt = next((x for x in range(lead + 1, n) if not used[x]), None)
                 if nxt is None:
                     yield tuple(images)
@@ -484,6 +524,7 @@ def _cycle_automorphisms(
             bases = arc(last, b, fwd, bwd)
             if bases is None:
                 continue
+            images[last] = b
             used[b] = True
             yield from rec(p, lead, b, length + 1, *bases)
             used[b] = False
@@ -492,6 +533,75 @@ def _cycle_automorphisms(
         used[0] = True
         yield from rec(p, 0, 0, 1, [], [])
         used[0] = False
+
+
+def _centraliser_automorphisms(code: LinearCode) -> Iterator[tuple[int, ...]]:
+    """Image tables of the automorphisms that commute with the pairing
+    sigma = (0,1)(2,3)..., in lexicographic order.
+
+    These are the elements of C(sigma) = Z_2 wr S_{n/2} that fix the
+    code.  The search takes one step per pair: pair p goes to a free
+    pair q, straight (2p -> 2q, 2p+1 -> 2q+1) or crossed (2p -> 2q+1,
+    2p+1 -> 2q), with q increasing and straight first.  Both arcs of a
+    step are pruned like those of ``_cycle_automorphisms``.
+    """
+    return _centraliser_search(_search_side(code))
+
+
+def _centraliser_search(side) -> Iterator[tuple[int, ...]]:
+    # the search of _centraliser_automorphisms on a prepared _search_side
+    n, sigs, arc = side
+    if n % 2:
+        raise InvalidInput("the pairing involution needs even length")
+    m = n // 2
+    images = [0] * n
+    used = [False] * m
+
+    def rec(p: int, fwd: list[int], bwd: list[int]) -> Iterator[tuple[int, ...]]:
+        if p == m:
+            yield tuple(images)
+            return
+        a0, a1 = 2 * p, 2 * p + 1
+        s0, s1 = sigs[a0], sigs[a1]
+        for q in range(m):
+            if used[q]:
+                continue
+            for b0, b1 in ((2 * q, 2 * q + 1), (2 * q + 1, 2 * q)):
+                if sigs[b0] != s0 or sigs[b1] != s1:
+                    continue
+                bases = arc(a0, b0, fwd, bwd)
+                if bases is None:
+                    continue
+                bases = arc(a1, b1, *bases)
+                if bases is None:
+                    continue
+                images[a0], images[a1] = b0, b1
+                used[q] = True
+                yield from rec(p + 1, *bases)
+                used[q] = False
+
+    return rec(0, [], [])
+
+
+def _group_is_pairing(code: LinearCode) -> bool:
+    """Whether PAut(C) is exactly {identity, sigma}, for a code invariant
+    under the pairing sigma = (0,1)(2,3)...
+
+    Runs test (a) of the module docstring, the centraliser search, and
+    only when it finds nothing but the identity and sigma, test (b), the
+    fixed point free involution search.  Both share one set-up.  The
+    answer equals ``find_automorphism_outside(code, (id, sigma)) is
+    None``; it is not meaningful for a code that sigma does not fix.
+    """
+    n = code.n
+    if n > LENGTH_GUARD:
+        raise TooLarge(f"automorphism search limited to length {LENGTH_GUARD}")
+    side = _search_side(code)
+    ident = tuple(range(n))
+    sigma = tuple(i ^ 1 for i in range(n))
+    if any(imgs != ident and imgs != sigma for imgs in _centraliser_search(side)):
+        return False
+    return all(imgs == sigma for imgs in _cycle_search(side, (2,)))
 
 
 def quasi_group_witness(code: LinearCode) -> Perm | None:

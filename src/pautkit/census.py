@@ -153,8 +153,14 @@ def _span_rows(basis: Sequence[int], abstract: Sequence[int]) -> list[int]:
 
 
 def _complement_in(space_basis: Sequence[int], sub_rows: Sequence[int]) -> tuple[int, ...]:
-    """A deterministic basis of a complement of the subspace inside the space."""
-    basis = list(_rref_ints(sub_rows))
+    """A deterministic basis of a complement of the subspace inside the space.
+
+    ``sub_rows`` must already be a reduced basis in the convention of
+    ``gf2._insert``; both callers pass one (F_C rows from ``_rref_ints``,
+    and U rows spanned by an echelon form over the 2-cycle vectors,
+    whose lowest bits increase with the cycle), so it is taken as given.
+    """
+    basis = list(sub_rows)
     comp = []
     for b in space_basis:
         grown = _insert(basis, b)

@@ -199,14 +199,22 @@ def _cheap_witness(code: LinearCode, sigma: Perm) -> tuple[Perm, str] | None:
     return None
 
 
-def _block_complement(n: int, u_rows: Sequence[int]) -> Perm | None:
-    """The complement rung's witness, shared by every code of a census
-    block whose image under id + sigma is spanned by ``u_rows``; None
-    when the pair support of that image is every pair, or n < 4."""
-    acc = 0
+def _block_free_pairs(n: int, u_rows: Sequence[int]) -> int:
+    """The complement rung of a census block whose image under
+    id + sigma is spanned by ``u_rows``, as a mask of the first bits
+    2p of the pairs p that U misses; 0 when U meets every pair, or n < 4.
+
+    A nonzero mask settles every code of the block: its witness, the pair
+    product over those pairs, fixes a code exactly when each twist row
+    w reads equal bits on them, (w ^ w >> 1) & mask == 0.  With U = 0 the
+    witness is the pair-0 transposition instead, and such a block has no
+    twist rows.
+    """
+    support = 0
     for u in u_rows:
-        acc |= u
-    return _support_complement(n, TSet(_pair_support(acc, n // 2))) if n >= 4 else None
+        support |= u
+    # (2^n - 1) / 3 sets bit 2p of every pair p
+    return ((1 << n) - 1) // 3 & ~support if n >= 4 else 0
 
 
 def _block_settled(n: int, u_rows: Sequence[int], fc_rows: Sequence[int]) -> bool:
@@ -216,16 +224,24 @@ def _block_settled(n: int, u_rows: Sequence[int], fc_rows: Sequence[int]) -> boo
 
     For each such code this equals ``_cheap_witness(code, sigma) is not
     None``, whatever its twist.  The complement rung depends only on the
-    pair support of U.  For x in F_C, alpha-x fixes F_C pointwise and
-    adds x & u to a codeword c with c + c^sigma = u, so it is an
-    automorphism exactly when x & u lies in F_C for every row u; those x
-    form the kernel K of x -> (x & u mod F_C)_u, found like
-    ``fixed_subcode`` as the rows of a graph basis that vanish on the
-    image part.  The rung exits when K holds a word other than 0 and the
-    all-ones word, whose alpha-x is sigma itself.
+    pair support of U (``_block_free_pairs``), and the alpha-x rung is
+    ``_block_alpha_x``.
     """
-    if _block_complement(n, u_rows) is not None:
-        return True
+    return bool(_block_free_pairs(n, u_rows)) or _block_alpha_x(n, u_rows, fc_rows)
+
+
+def _block_alpha_x(n: int, u_rows: Sequence[int], fc_rows: Sequence[int]) -> bool:
+    """Whether the alpha-x rung settles every code of the census block
+    (``u_rows``, ``fc_rows``) of ``_block_settled``.
+
+    For x in F_C, alpha-x fixes F_C pointwise and adds x & u to a
+    codeword c with c + c^sigma = u, so it is an automorphism exactly
+    when x & u lies in F_C for every row u; those x form the kernel K of
+    x -> (x & u mod F_C)_u, found like ``fixed_subcode`` as the rows of a
+    graph basis that vanish on the image part.  The rung exits when K
+    holds a word other than 0 and the all-ones word, whose alpha-x is
+    sigma itself.
+    """
     shift = n * len(u_rows)
     graph = []
     for x in fc_rows:

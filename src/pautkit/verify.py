@@ -28,6 +28,7 @@ from .autgroup import (
     is_quasi_group_code,
     paut,
     _automorphism_images,
+    _group_is_pairing,
 )
 from .census import (
     _invariant_positions,
@@ -37,8 +38,8 @@ from .census import (
 )
 from .errors import InvalidInput, NotInvariant, TooLarge
 from .fixed import (
-    _block_complement,
-    _block_settled,
+    _block_alpha_x,
+    _block_free_pairs,
     _cheap_witness,
     extra_automorphism,
     fixed_point_witness,
@@ -418,10 +419,12 @@ def pairing_group_is_everything(code: LinearCode, sigma: Perm) -> bool:
 
     The cheap rungs of the witness ladder (the complement witness when
     the pair support is not full, then the pair products attached to
-    nonzero fixed words) are tried before the exhaustive search."""
+    nonzero fixed words) are tried first; they also check that sigma is
+    the canonical pairing and fixes the code.  The rest is decided by
+    the centraliser-first test ``autgroup._group_is_pairing``."""
     if _cheap_witness(code, sigma) is not None:
         return False
-    return find_automorphism_outside(code, (Perm.identity(code.n), sigma)) is None
+    return _group_is_pairing(code)
 
 
 def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dict]]:
@@ -430,17 +433,20 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dic
     The unit's codes sit at stream positions sidx + (unit + m*units)*stotal,
     an arithmetic progression; the position walker addresses each of them
     by rank, so the unit builds only its own codes.  The cheap rungs of
-    the witness ladder are decided once per (U, F_C) block of the census
-    by ``fixed._block_settled``, and only the codes of the blocks they do
-    not settle are built and searched, which gives the same outcome as
+    the witness ladder are decided once per (U, F_C) block of the census:
+    the complement rung (``fixed._block_free_pairs``) exits when U misses
+    a pair, and otherwise ``fixed._block_alpha_x`` decides the alpha-x
+    rung, as ``fixed._block_settled`` does.  Only the codes of
+    the blocks they do not settle are built and searched, with
+    ``autgroup._group_is_pairing``, which gives the same outcome as
     ``pairing_group_is_everything`` on every code.  Every code is still
     checked on its generator rows: the F_C rows must be fixed by sigma
-    and each twist row w must have w + w^sigma in F_C, and a complement
-    witness must fix each twist row.
+    and each twist row w must have w + w^sigma in F_C, and the complement
+    witness, the pair product over the pairs U misses, must fix each
+    twist row, that is each twist row reads equal bits on those pairs.
     """
     n, k, unit, units, sidx, stotal = args
     sigma = canonical_sigma(n)
-    allowed = (Perm.identity(n), sigma)
     # sigma swaps the two bits of every pair (2p, 2p+1)
     low_bits = int("01" * (n // 2), 2)
     scanned = 0
@@ -454,17 +460,17 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dic
             block = fc_rows
             if any((x ^ x >> 1) & low_bits for x in fc_rows):
                 raise NotInvariant("code is not invariant under the pairing involution")
-            witness = _block_complement(n, u_rows)
-            settled = witness is not None or _block_settled(n, u_rows, fc_rows)
+            free = _block_free_pairs(n, u_rows)
+            settled = bool(free) or _block_alpha_x(n, u_rows, fc_rows)
         for w in wrows:
             if _reduce(fc_rows, w ^ ((w & low_bits) << 1 | (w >> 1) & low_bits)):
                 raise NotInvariant("code is not invariant under the pairing involution")
         if settled:
-            if witness is not None and any(_apply_bits(witness.images, w) != w for w in wrows):
+            if any((w ^ w >> 1) & free for w in wrows):
                 raise RuntimeError("fixed point witness failed validation")
             continue
         code = LinearCode(n, _rref_ints(fc_rows + wrows))
-        if find_automorphism_outside(code, allowed) is None:
+        if _group_is_pairing(code):
             ces.append(Counterexample(code, "automorphism group is exactly the pairing").to_dict())
     return scanned, ces
 

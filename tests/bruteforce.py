@@ -55,21 +55,41 @@ def codeword_set(code: LinearCode) -> frozenset[int]:
     return frozenset(seen)
 
 
+def _fixes(code: LinearCode, words: frozenset[int], images) -> bool:
+    for row in code.rows:
+        out = 0
+        b = row
+        while b:
+            low = b & -b
+            out |= 1 << images[low.bit_length() - 1]
+            b ^= low
+        if out not in words:
+            return False
+    return True
+
+
 def brute_automorphism_images(code: LinearCode):
     """Every automorphism image table, by filtering all of S_n."""
-    n = code.n
     words = codeword_set(code)
-    for images in permutations(range(n)):
-        ok = True
-        for row in code.rows:
-            out = 0
-            b = row
-            while b:
-                low = b & -b
-                out |= 1 << images[low.bit_length() - 1]
-                b ^= low
-            if out not in words:
-                ok = False
-                break
-        if ok:
+    for images in permutations(range(code.n)):
+        if _fixes(code, words, images):
             yield images
+
+
+def brute_centraliser_images(code: LinearCode) -> list[tuple[int, ...]]:
+    """The automorphisms that commute with the pairing (0,1)(2,3)...,
+    in lexicographic order, by filtering all of Z_2 wr S_{n/2}: pair p
+    goes to pair perm[p], crossed when bit p of ``flips`` is set."""
+    m = code.n // 2
+    words = codeword_set(code)
+    found = []
+    for perm in permutations(range(m)):
+        for flips in range(1 << m):
+            images = [0] * code.n
+            for p in range(m):
+                o = flips >> p & 1
+                images[2 * p] = 2 * perm[p] + o
+                images[2 * p + 1] = 2 * perm[p] + 1 - o
+            if _fixes(code, words, images):
+                found.append(tuple(images))
+    return sorted(found)

@@ -17,7 +17,14 @@ from pautkit import (
     quasi_group_witness,
     rref,
 )
-from pautkit.autgroup import StabilizerChain, _cycle_automorphisms, _primes_dividing
+from pautkit import autgroup
+from pautkit.autgroup import (
+    StabilizerChain,
+    _centraliser_automorphisms,
+    _cycle_automorphisms,
+    _group_is_pairing,
+    _primes_dividing,
+)
 from pautkit.perm import (
     compose,
     conjugate,
@@ -28,9 +35,15 @@ from pautkit.perm import (
     is_fixed_point_free,
     is_involution,
 )
-from pautkit.census import CensusSlice, shard, sigma_invariant_count
+from pautkit.census import (
+    CensusSlice,
+    enumerate_sigma_invariant,
+    shard,
+    sigma_invariant_count,
+)
+from pautkit.perm import canonical_sigma
 
-from bruteforce import brute_automorphism_images
+from bruteforce import brute_automorphism_images, brute_centraliser_images
 from test_verify import ORDER_TWO_LENGTH12_REPS
 
 
@@ -210,6 +223,73 @@ def test_find_automorphism_outside():
     extra = find_automorphism_outside(c, (ident, sigma))
     assert extra is not None and is_automorphism(c, extra)
     assert find_automorphism_outside(PROP34_CODE, (ident, P("(1,2)", 4))) is None
+
+
+def _pairing_only(code):
+    # the oracle: the full automorphism tree holds nothing but id and sigma
+    n = code.n
+    return find_automorphism_outside(code, (Perm.identity(n), canonical_sigma(n))) is None
+
+
+def test_group_is_pairing_matches_full_search_small():
+    # every sigma-invariant code of every dimension at n <= 8
+    checked = hits = 0
+    for n in (2, 4, 6, 8):
+        for k in range(n + 1):
+            for code in enumerate_sigma_invariant(n, k):
+                want = _pairing_only(code)
+                assert _group_is_pairing(code) == want
+                checked += 1
+                hits += want
+    # only the three codes of length 2 have group exactly {id, sigma}
+    assert (checked, hits) == (3 + 15 + 129 + 1983, 3)
+
+
+@pytest.mark.slow
+def test_group_is_pairing_matches_full_search_length10():
+    """All 55989 sigma-invariant codes at n = 10, every dimension; about
+    20 s on a 2-core VM with Python 3.11.7."""
+    checked = 0
+    for k in range(11):
+        for code in enumerate_sigma_invariant(10, k):
+            assert _group_is_pairing(code) == _pairing_only(code)
+            checked += 1
+    assert checked == 55989
+
+
+def test_group_is_pairing_on_length12_representatives():
+    for rows in ORDER_TWO_LENGTH12_REPS:
+        code = LinearCode.from_strings(list(rows))
+        assert _group_is_pairing(code) and _group_is_pairing(code.dual())
+    with pytest.raises(TooLarge):
+        _group_is_pairing(LinearCode.zero(14))
+
+
+def test_group_is_pairing_runs_the_involution_search(monkeypatch):
+    # no invariant code at n <= 12 needs part (b), so blind part (a) and
+    # check that (b) alone still finds the other fixed point free
+    # involutions; (1,2)(3,4) and (1,3)(2,4) both fix this code
+    code = rref([Word.from_string("1100"), Word.from_string("0011")])
+    assert not _pairing_only(code)
+    blind = lambda side: iter([tuple(range(side[0]))])
+    monkeypatch.setattr(autgroup, "_centraliser_search", blind)
+    assert not _group_is_pairing(code)
+
+
+def test_centraliser_stream_equals_bruteforce():
+    # the stream of test (a) against a filter of Z_2 wr S_{n/2}: every
+    # sigma-invariant code at n <= 6, a sample at n = 8, and random codes
+    # that sigma need not fix
+    rng = random.Random(71)
+    codes = [c for n in (2, 4, 6) for k in range(n + 1) for c in enumerate_sigma_invariant(n, k)]
+    codes += [c for k in range(9) for c in enumerate_sigma_invariant(8, k)][::23]
+    codes += [rand_code(rng, n) for n in (4, 6, 8) for _ in range(10)]
+    invariant = 0
+    for code in codes:
+        brute = brute_centraliser_images(code)
+        assert list(_centraliser_automorphisms(code)) == brute
+        invariant += canonical_sigma(code.n).images in brute
+    assert invariant >= 147 + 80
 
 
 def test_stabilizer_chain_against_closure():
