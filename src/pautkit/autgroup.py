@@ -62,8 +62,10 @@ centraliser.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations as _sym_images
 from math import factorial
+from struct import Struct
 from typing import Iterable, Iterator
 
 from .errors import InvalidInput, TooLarge
@@ -81,18 +83,39 @@ def is_automorphism(code: LinearCode, p: Perm) -> bool:
     return all(not _reduce(code.rows, _apply_bits(p.images, row)) for row in code.rows)
 
 
+@lru_cache(maxsize=None)
+def _lane_tables(n: int):
+    """(h, lo, hi, unpack) for n coordinates, with h = ceil(n/2).
+
+    An accumulator holds one 16-bit lane per coordinate.  lo[x] has a 1
+    in lane i for each bit i of x < 2^h, hi[x] has a 1 in lane h + i for
+    each bit i of x < 2^(n-h), and ``unpack`` reads the n lanes of an
+    accumulator's little-endian bytes.
+    """
+    h = (n + 1) // 2
+    lo = [0] * (1 << h)
+    for x in range(1, 1 << h):
+        low = x & -x
+        lo[x] = lo[x ^ low] | 1 << (16 * (low.bit_length() - 1))
+    shift = 16 * h
+    hi = tuple(v << shift for v in lo[: 1 << (n - h)])
+    return h, tuple(lo), hi, Struct(f"<{n}H").unpack
+
+
 def _weight_signatures(code: LinearCode) -> list[tuple[int, ...]]:
-    """For each coordinate, the per-weight counts of codewords with a 1 there."""
+    """For each coordinate, the per-weight counts of codewords with a 1 there.
+
+    Each codeword adds its two half-word table values to the accumulator
+    of its weight, so one addition counts all its coordinates.  A count
+    is at most 2^(k-1), so the 16-bit lanes hold for k <= 16.
+    """
     n = code.n
-    sig = [[0] * (n + 1) for _ in range(n)]
+    h, lo, hi, unpack = _lane_tables(n)
+    mask = (1 << h) - 1
+    acc = [0] * (n + 1)
     for bits in code._codeword_bits():
-        w = bits.bit_count()
-        b = bits
-        while b:
-            low = b & -b
-            sig[low.bit_length() - 1][w] += 1
-            b ^= low
-    return [tuple(s) for s in sig]
+        acc[bits.bit_count()] += lo[bits & mask] + hi[bits >> h]
+    return list(zip(*(unpack(a.to_bytes(2 * n, "little")) for a in acc)))
 
 
 def _columns(code: LinearCode) -> list[int]:

@@ -14,6 +14,14 @@ basis of U into a canonical complement of F_C inside the fixed space.
 Each triple is rebuilt into C by lifting every basis vector x of U to
 the unique preimage supported on the first coordinates of the 2-cycles,
 shifted by L(x).
+
+The walk needs two complements per position: one of U, which the F_C
+are counted in, and one of F_C, which the twists map into.  Both are
+subspaces of the fixed space, which has few (2825 at n = 12 under the
+pairing), so each complement is computed once per process and kept in a
+module-level table keyed by the fixed-space basis and the subspace rows.
+The table stops growing at ``COMPLEMENT_CAP`` entries; past the cap a
+complement is computed and not stored.
 """
 
 from __future__ import annotations
@@ -30,6 +38,16 @@ from .perm import Perm, canonical_sigma, is_involution
 
 LENGTH_GUARD = 12
 COUNT_GUARD = 10**9
+# Most entries the complement table holds: above the 2825 subspaces of
+# the pairing's fixed space at n = 12, and a bound on its memory for an
+# involution with a larger fixed space.
+COMPLEMENT_CAP = 4096
+
+# Complement of a subspace of a fixed space, by the key of _complement_of.
+# Equal complements are stored as one tuple, the one kept in
+# _complement_values, which grows only with the table.
+_complements: dict[int, tuple[int, ...]] = {}
+_complement_values: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 def gaussian_binomial(n: int, k: int) -> int:
@@ -156,9 +174,11 @@ def _complement_in(space_basis: Sequence[int], sub_rows: Sequence[int]) -> tuple
     """A deterministic basis of a complement of the subspace inside the space.
 
     ``sub_rows`` must already be a reduced basis in the convention of
-    ``gf2._insert``; both callers pass one (F_C rows from ``_rref_ints``,
-    and U rows spanned by an echelon form over the 2-cycle vectors,
-    whose lowest bits increase with the cycle), so it is taken as given.
+    ``gf2._insert``; the walker passes one for both of its subspaces (F_C
+    rows from ``_rref_ints``, and U rows spanned by an echelon form over
+    the 2-cycle vectors, whose lowest bits increase with the cycle), so
+    it is taken as given.  The walker asks through the complement table,
+    ``_complement_of``, which calls this once per subspace.
     """
     basis = list(sub_rows)
     comp = []
@@ -168,6 +188,40 @@ def _complement_in(space_basis: Sequence[int], sub_rows: Sequence[int]) -> tuple
             comp.append(grown[-1])
             basis = grown
     return tuple(comp)
+
+
+def _space_key(space_basis: Sequence[int]) -> int:
+    """Key prefix of a space: a leading 1, then each basis vector in a
+    LENGTH_GUARD-bit field, then one empty field.  Basis vectors are
+    nonzero, so the empty field marks where the space ends."""
+    key = 1
+    for b in space_basis:
+        key = key << LENGTH_GUARD | b
+    return key << LENGTH_GUARD
+
+
+def _complement_of(
+    space_key: int, space_basis: Sequence[int], sub_rows: Sequence[int]
+) -> tuple[int, ...]:
+    """``_complement_in(space_basis, sub_rows)`` through the complement
+    table; ``space_key`` is ``_space_key(space_basis)``.
+
+    The key appends the subspace rows, also in LENGTH_GUARD-bit fields,
+    so one int names the pair; every vector fits its field because the
+    walker refuses lengths above LENGTH_GUARD.  A complement is stored
+    only while the table holds fewer than COMPLEMENT_CAP entries, so an
+    involution with a larger fixed space gets the same answers without
+    growing the table.
+    """
+    key = space_key
+    for row in sub_rows:
+        key = key << LENGTH_GUARD | row
+    comp = _complements.get(key)
+    if comp is None:
+        comp = _complement_in(space_basis, sub_rows)
+        if len(_complements) < COMPLEMENT_CAP:
+            _complements[key] = comp = _complement_values.setdefault(comp, comp)
+    return comp
 
 
 def enumerate_invariant(n: int, k: int, involution: Perm) -> Iterator[LinearCode]:
@@ -203,6 +257,12 @@ def _invariant_positions(
     the band holds the iU-th U, its iS-th F_C (of n_S) and twist L.
     Each selected position is addressed by rank, with U and F_C rebuilt
     only when they change, so a shard costs only the codes it yields.
+    A sparse shard changes block at almost every position, so U's
+    quotient (the complement the F_C are counted in) and F_C's twist
+    basis are not recomputed per block: both come from the complement
+    table (``_complement_of``), which computes each subspace's
+    complement once per process.  When F_C = U the two lookups share
+    one entry.
     The U rows are a basis of U = (id + involution)C and the F_C rows are
     the reduced basis of C intersected with the fixed space; both are
     the same objects for as long as the block (U, F_C) does not change.
@@ -218,6 +278,7 @@ def _invariant_positions(
     f_basis = pairvecs + [1 << c for c in fixed_pts]
     # x & half is the preimage of x in U under id+involution on the first cycle points
     half = sum(1 << a for a, _b in cycles)
+    f_key = _space_key(f_basis)
     r = len(pairvecs)
     d_fix = len(f_basis)
     pos = 0
@@ -237,12 +298,12 @@ def _invariant_positions(
                 i_u, i_s = divmod(at, n_s)
                 if i_u != u_at:
                     u_rows = _span_rows(pairvecs, _echelon_at(r, a, i_u))
-                    quotient = _complement_in(f_basis, u_rows)
+                    quotient = _complement_of(f_key, f_basis, u_rows)
                     lifts = [x & half for x in u_rows]
                     u_at = i_u
                 s_rows = _span_rows(quotient, _echelon_at(d_fix - a, f - a, i_s))
                 fc_rows = _rref_ints(u_rows + s_rows)
-                rbasis = _complement_in(f_basis, fc_rows)
+                rbasis = _complement_of(f_key, f_basis, fc_rows)
                 fc_at = at
             wrows = []
             for lift in lifts:

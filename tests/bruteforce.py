@@ -93,3 +93,16 @@ def brute_centraliser_images(code: LinearCode) -> list[tuple[int, ...]]:
             if _fixes(code, words, images):
                 found.append(tuple(images))
     return sorted(found)
+
+
+def brute_weight_signatures(code: LinearCode) -> list[tuple[int, ...]]:
+    """For each coordinate, the per-weight counts of codewords with a 1
+    there, one bit at a time."""
+    n = code.n
+    sig = [[0] * (n + 1) for _ in range(n)]
+    for bits in codeword_set(code):
+        w = bits.bit_count()
+        for i in range(n):
+            if bits >> i & 1:
+                sig[i][w] += 1
+    return [tuple(s) for s in sig]

@@ -43,7 +43,11 @@ from pautkit.census import (
 )
 from pautkit.perm import canonical_sigma
 
-from bruteforce import brute_automorphism_images, brute_centraliser_images
+from bruteforce import (
+    brute_automorphism_images,
+    brute_centraliser_images,
+    brute_weight_signatures,
+)
 from test_verify import ORDER_TWO_LENGTH12_REPS
 
 
@@ -474,3 +478,19 @@ def test_quasi_group_witness_equals_bruteforce_at_length12():
     # no fixed point free automorphism of order 2 or 3: all 256795 candidates fail
     assert first_fpf_prime_order_automorphism(code) is None
     assert quasi_group_witness(code) is None
+
+
+def test_weight_signatures_equal_per_bit_oracle():
+    codes = [
+        code
+        for n in (2, 4, 6, 8)
+        for k in range(n + 1)
+        for code in enumerate_sigma_invariant(n, k)
+    ]
+    # the structured codes of the analyze benchmark
+    codes += [LinearCode.from_strings(list(rows)) for rows in STRUCTURED_LENGTH12]
+    codes.append(LinearCode.from_strings(["11110000", "00111100", "00001111", "01010101"]))
+    rng = random.Random(71)
+    codes += [rand_code(rng, 12) for _ in range(30)]
+    for code in codes:
+        assert autgroup._weight_signatures(code) == brute_weight_signatures(code)

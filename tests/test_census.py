@@ -16,6 +16,17 @@ from pautkit import (
     shard,
     sigma_invariant_count,
 )
+from pautkit import census
+from pautkit.census import (
+    COMPLEMENT_CAP,
+    _complement_in,
+    _complement_of,
+    _echelon_forms,
+    _invariant_positions,
+    _space_key,
+    _span_rows,
+)
+from pautkit.gf2 import _rref_ints
 from pautkit.perm import canonical_sigma, image_code
 
 
@@ -243,3 +254,72 @@ def test_slice_units_sum_to_closed_form_coverage():
             assert got == len(range(start, stream, step))
             walked += got
     assert walked == coverage
+
+
+def _fixed_space_basis(n, involution):
+    """The walker's fixed-space basis: the 2-cycle vectors, then the fixed points."""
+    cycles = [(i, x) for i, x in enumerate(involution.images) if i < x]
+    fixed = [i for i, x in enumerate(involution.images) if i == x]
+    return [(1 << a) | (1 << b) for a, b in cycles] + [1 << c for c in fixed]
+
+
+def _all_subspace_rows(basis):
+    return [
+        _rref_ints(_span_rows(basis, form))
+        for d in range(len(basis) + 1)
+        for form in _echelon_forms(len(basis), d)
+    ]
+
+
+def test_complement_table_equals_direct_computation(monkeypatch):
+    monkeypatch.setattr(census, "_complements", {})
+    spaces = [(n, canonical_sigma(n)) for n in (2, 4, 6, 8)]
+    spaces.append((6, Perm.from_cycles("(1,2)(3,4)", 6)))
+    for n, involution in spaces:
+        # the walk fills the table first, so the lookups below are hits
+        for k in range(n + 1):
+            for _ in _invariant_positions(n, k, involution, 0, 1):
+                pass
+        basis = _fixed_space_basis(n, involution)
+        key = _space_key(basis)
+        subspaces = _all_subspace_rows(basis)
+        for rows in subspaces:
+            assert _complement_of(key, basis, rows) == _complement_in(basis, rows)
+    # one entry per subspace: no two (space, subspace) pairs share a key
+    assert len(census._complements) == sum(
+        len(_all_subspace_rows(_fixed_space_basis(n, inv))) for n, inv in spaces
+    )
+
+
+def test_n12_positions_are_frozen_and_table_stays_small(monkeypatch):
+    # sha256 over repr((u_rows, fc_rows, wrows)) of every position of
+    # slice 0/100, recorded before U's quotient and F_C's twist basis
+    # were taken from the complement table
+    monkeypatch.setattr(census, "_complements", {})
+    h = hashlib.sha256()
+    for k in (5, 6, 7):
+        for u_rows, fc_rows, wrows in _invariant_positions(12, k, canonical_sigma(12), 0, 100):
+            h.update(repr((u_rows, fc_rows, wrows)).encode())
+    assert h.hexdigest() == "cd8ba44eea4213066d34715d431f74a9339cc5c8e5a319df60ad942eb88079fa"
+    # at most one entry per subspace of the 6-dimensional fixed space
+    assert 0 < len(census._complements) <= 2825
+
+
+def test_complement_table_stops_at_its_cap(monkeypatch):
+    # (1,2) at n = 8 has a 7-dimensional fixed space with 29212 subspaces
+    monkeypatch.setattr(census, "_complements", {})
+    beta = Perm.from_cycles("(1,2)", 8)
+    for k in range(9):
+        codes = {
+            LinearCode(8, _rref_ints(fc_rows + wrows))
+            for _u, fc_rows, wrows in _invariant_positions(8, k, beta, 0, 1)
+        }
+        assert len(codes) == invariant_subspace_count(8, k, beta)
+        assert all(image_code(c, beta) == c for c in codes)
+    assert len(census._complements) == COMPLEMENT_CAP
+    # past the cap a complement is still computed, just not stored
+    basis = _fixed_space_basis(8, beta)
+    key = _space_key(basis)
+    for rows in _all_subspace_rows(basis):
+        assert _complement_of(key, basis, rows) == _complement_in(basis, rows)
+    assert len(census._complements) == COMPLEMENT_CAP

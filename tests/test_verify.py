@@ -10,7 +10,7 @@ from pautkit import (
     pairing_group_is_everything,
 )
 from pautkit.autgroup import _automorphism_images
-from pautkit.census import enumerate_subspaces
+from pautkit.census import enumerate_subspaces, sigma_invariant_count
 from pautkit.perm import canonical_sigma
 from pautkit.verify import (
     Counterexample,
@@ -476,6 +476,17 @@ def test_length12_shard_detects_order_two_groups():
     for ce in report.counterexamples[:3]:
         code = LinearCode.from_strings(ce.to_dict()["generators"])
         assert pairing_group_is_everything(code, sigma)
+
+
+def test_length12_slice_outcome():
+    # the slice the benchmark's first request scans: every k = 5..7
+    # position i with i mod 100 == 0, so 24110 codes by the closed form
+    report = conjecture_search(12, slice_=(0, 100))
+    assert report.scanned == sum(
+        len(range(0, sigma_invariant_count(12, k), 100)) for k in (5, 6, 7)
+    ) == 24110
+    assert len(report.counterexamples) == 433
+    assert {c.code.k for c in report.counterexamples} == {6}
 
 
 @pytest.mark.slow
