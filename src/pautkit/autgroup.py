@@ -36,27 +36,54 @@ the lexicographic order of ``perm.involutions``; the witness ladder of
 the identity and sigma as its last rung.
 
 Whether PAut(C) is exactly <sigma>, for a code invariant under the
-pairing sigma = (0,1)(2,3)..., is decided by two searches far smaller
+pairing sigma = (0,1)(2,3)..., is decided by two tests far smaller
 than the full tree (``_group_is_pairing``):
 
 (a) the centraliser C(sigma) = Z_2 wr S_{n/2} holds no automorphism
-    other than the identity and sigma.  Its search maps one pair at a
-    time onto a free pair, straight or crossed, so its tree has at most
-    2^(n/2) (n/2)! leaves (46080 at n = 12, against 12!);
+    other than the identity and sigma;
 (b) no fixed point free involution other than sigma is an automorphism,
     the p = 2 cycle search.
 
-Why this is exact: let G = PAut(C), with sigma in G.  If (a) holds, the
-centraliser of sigma in G is <sigma>, so <sigma> is a Sylow 2-subgroup
-of G, and by Burnside's normal p-complement theorem G = N x| <sigma>
-with N of odd order.  sigma acts on N without fixed points, so it
-inverts N, and for n in N with n = m^2 (m in N, as |N| is odd) sigma n =
-m^-1 sigma m.  Every n != 1 thus gives a conjugate of sigma other than
-sigma, which is a fixed point free involution in G.  Hence G = <sigma>
-exactly when (a) and (b) both hold; (b) runs only when (a) does.  The
-search is Leon's backtrack (J. S. Leon, "Computing automorphism groups
-of error-correcting codes", IEEE Trans. IT 28, 1982) restricted to the
-centraliser.
+Test (a) is decided per census block, without a search per code.  Every
+g in C(sigma) factors uniquely as g = f_x pi: pi is a straight pair
+permutation (2p -> 2pi(p), 2p+1 -> 2pi(p)+1), and f_x flips the pairs
+in the pair set x, f_x(v) = v + (X & (v + sigma v)), where X reads 11
+on the pairs of x.  Write the code as the census does
+(``census._invariant_positions``): U = (id + sigma)C with reduced basis
+u_1..u_a, F_C the fixed subcode, and twist rows w_i with w_i + sigma w_i
+= u_i, so that C = F_C + <w_1..w_a>.  The flips fix Fix(sigma) >= F_C >=
+U pointwise and g commutes with sigma, so g maps U to pi(U) and F_C to
+pi(F_C), and g can fix C only if pi lies in K = Stab(U) & Stab(F_C) in
+S_{n/2}.  For such pi write pi(u_i) = sum_j c_ij u_j.  Then g(w_i) +
+sum_j c_ij w_j is fixed by sigma, and g fixes C exactly when it lies in
+F_C for every i.  Apply pi^-1, which keeps F_C; as sum_j c_ij
+pi^-1(u_j) = u_i, the condition reads
+
+    d_i = w_i + pi^-1(sum_j c_ij w_j) = X' & u_i  modulo F_C, for every i,
+
+with X' = pi^-1(X).  X' runs over all pair sets as x does, so a flip
+completes pi exactly when d mod F_C lies in W, the span of the images
+of the flip map x -> (X & u_i mod F_C)_i.  The pi^-1 step leaves one W
+per block, whatever pi.  For pi = id, d = 0, and the flips that fix C
+form the kernel of the flip map, which always holds the empty set (the
+identity) and all pairs (sigma).  So (a) holds exactly when that kernel
+has no other element and no pi in K other than the identity has d mod
+F_C in W.  ``_block_entry`` computes the kernel, W and K (from
+``_automorphism_images`` of U as a code of length n/2, filtered by F_C)
+once per block (U, F_C) and keeps them in a table, and
+``_centraliser_fixes`` then costs a few reductions per element of K.
+
+Why (a) and (b) are exact: let G = PAut(C), with sigma in G.  If (a)
+holds, the centraliser of sigma in G is <sigma>, so <sigma> is a Sylow
+2-subgroup of G, and by Burnside's normal p-complement theorem G = N x|
+<sigma> with N of odd order.  sigma acts on N without fixed points, so
+it inverts N, and for n in N with n = m^2 (m in N, as |N| is odd) sigma
+n = m^-1 sigma m.  Every n != 1 thus gives a conjugate of sigma other
+than sigma, which is a fixed point free involution in G.  Hence G =
+<sigma> exactly when (a) and (b) both hold; (b) runs only when (a) does.
+The search of (b) is Leon's backtrack (J. S. Leon, "Computing
+automorphism groups of error-correcting codes", IEEE Trans. IT 28,
+1982) restricted to fixed point free involutions.
 """
 
 from __future__ import annotations
@@ -66,10 +93,10 @@ from functools import lru_cache
 from itertools import permutations as _sym_images
 from math import factorial
 from struct import Struct
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInput, TooLarge
-from .gf2 import LinearCode, _insert, _reduce
+from .gf2 import LinearCode, _insert, _reduce, _rref_ints
 from .perm import Perm, _apply_bits, _inv, _mult
 
 LENGTH_GUARD = 12
@@ -471,7 +498,7 @@ def _primes_dividing(n: int) -> list[int]:
 
 
 def _search_side(code: LinearCode):
-    """Set-up shared by the pruned searches, made once per code: the
+    """Set-up of the pruned cycle search, made once per code: the
     length, the per-coordinate weight signatures of the smaller side,
     and its arc test.  ``arc(a, b, fwd, bwd)`` returns the two echelon
     bases of ``_automorphism_images`` grown by a -> b, or None when that
@@ -512,14 +539,7 @@ def _cycle_automorphisms(
     without automorphisms and every surviving leaf is one, so this yields
     exactly the automorphisms of the unpruned stream, in its order.
     """
-    return _cycle_search(_search_side(code), primes, fixed_ok)
-
-
-def _cycle_search(
-    side, primes: Iterable[int], fixed_ok: bool = False
-) -> Iterator[tuple[int, ...]]:
-    # the search of _cycle_automorphisms on a prepared _search_side
-    n, sigs, arc = side
+    n, sigs, arc = _search_side(code)
     images = [0] * n
     used = [False] * n
 
@@ -558,73 +578,189 @@ def _cycle_search(
         used[0] = False
 
 
-def _centraliser_automorphisms(code: LinearCode) -> Iterator[tuple[int, ...]]:
-    """Image tables of the automorphisms that commute with the pairing
-    sigma = (0,1)(2,3)..., in lexicographic order.
+# Most entries the block table holds: above the 1430 census blocks of
+# n = 12 that the cheap rungs leave open, and a bound on its memory when
+# _group_is_pairing meets the blocks of many more codes.
+BLOCK_CAP = 2048
 
-    These are the elements of C(sigma) = Z_2 wr S_{n/2} that fix the
-    code.  The search takes one step per pair: pair p goes to a free
-    pair q, straight (2p -> 2q, 2p+1 -> 2q+1) or crossed (2p -> 2q+1,
-    2p+1 -> 2q), with q increasing and straight first.  Both arcs of a
-    step are pruned like those of ``_cycle_automorphisms``.
+# Test (a) for every code of a census block, by the key of _block_entry.
+# Equal entries are stored as one tuple, the one kept in _block_values
+# (659 distinct among the 1430 open blocks of n = 12), which grows only
+# with the table.
+_blocks: dict[int, tuple] = {}
+_block_values: dict[tuple, tuple] = {}
+
+
+def _pair_flip_map(
+    n: int, u_rows: Sequence[int], fc_rows: Sequence[int], xs: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Reduced bases of the kernel and of the image of the linear map
+    x -> (x & u mod F_C)_u on the span of the pairing-fixed words ``xs``.
+
+    F_C has the reduced rows ``fc_rows``, and an image packs one n-bit
+    field per row u of ``u_rows``, the first row highest.  Both bases
+    come from one echelon basis of the graph rows image(x) | x << (n a),
+    a = len(u_rows), like ``fixed.fixed_subcode``.
     """
-    return _centraliser_search(_search_side(code))
+    shift = n * len(u_rows)
+    graph = []
+    for x in xs:
+        image = 0
+        for u in u_rows:
+            image = image << n | _reduce(fc_rows, x & u)
+        graph.append(image | x << shift)
+    low = (1 << shift) - 1
+    graph = _rref_ints(graph)
+    return [r >> shift for r in graph if not r & low], [r & low for r in graph if r & low]
 
 
-def _centraliser_search(side) -> Iterator[tuple[int, ...]]:
-    # the search of _centraliser_automorphisms on a prepared _search_side
-    n, sigs, arc = side
-    if n % 2:
-        raise InvalidInput("the pairing involution needs even length")
+def _permute_pairs(fields: int, w: int, m: int) -> int:
+    """The word w with each of its pairs q < m moved straight to pair
+    (fields >> 3q) & 7."""
+    out = 0
+    for q in range(m):
+        out |= (w >> 2 * q & 3) << 2 * (fields >> 3 * q & 7)
+    return out
+
+
+def _block_entry(n: int, u_rows: Sequence[int], fc_rows: Sequence[int]) -> tuple:
+    """Test (a) for the census block (U, F_C) of the pairing: U = (id +
+    sigma)C with reduced rows ``u_rows``, F_C the fixed subcode with
+    reduced rows ``fc_rows``, n even.
+
+    Returns () when a pair flip other than the identity and sigma fixes
+    every code of the block.  Otherwise returns (W, moves) for
+    ``_centraliser_fixes``: W is the image basis of ``_pair_flip_map``
+    over all pairs, and each move packs one pi in K minus the identity:
+    pi^-1 sends pair q to pair (move >> 3q) & 7 for q < n/2, and above
+    those 3n/2 bits, bit a*i + j is c_ij, where pi(u_i) = sum_j c_ij u_j
+    and a = dim U.  An entry is kept in ``_blocks`` while it holds
+    fewer than BLOCK_CAP of them; the key packs n, the U rows and the
+    F_C rows into one int like ``census._complement_of``.
+    """
+    key = 1 << LENGTH_GUARD | n
+    for row in u_rows:
+        key = key << LENGTH_GUARD | row
+    key <<= LENGTH_GUARD
+    for row in fc_rows:
+        key = key << LENGTH_GUARD | row
+    entry = _blocks.get(key)
+    if entry is None:
+        entry = _new_block_entry(n, u_rows, fc_rows)
+        if len(_blocks) < BLOCK_CAP:
+            _blocks[key] = entry = _block_values.setdefault(entry, entry)
+    return entry
+
+
+def _new_block_entry(n: int, u_rows: Sequence[int], fc_rows: Sequence[int]) -> tuple:
+    # the entry of _block_entry, computed
+    m, a = n // 2, len(u_rows)
+    kernel, wbasis = _pair_flip_map(n, u_rows, fc_rows, [3 << 2 * p for p in range(m)])
+    # the all-ones flip, sigma, is always in the kernel
+    if len(kernel) > 1:
+        return ()
+    # U and F_C as codes of length m, bit p standing for pair p
+    pair_u, pair_fc = (
+        tuple(sum((r >> 2 * p & 1) << p for p in range(m)) for r in rows)
+        for rows in (u_rows, fc_rows)
+    )
+    pivots = [u & -u for u in u_rows]
+    ident = tuple(range(m))
+    moves = []
+    for imgs in _automorphism_images(LinearCode(m, pair_u)):
+        if imgs == ident or any(_reduce(pair_fc, _apply_bits(imgs, r)) for r in pair_fc):
+            continue
+        forward = sum(q << 3 * p for p, q in enumerate(imgs))
+        move = sum(p << 3 * q for p, q in enumerate(imgs))
+        for i, u in enumerate(u_rows):
+            image = _permute_pairs(forward, u, m)
+            for j, pivot in enumerate(pivots):
+                if image & pivot:
+                    move |= 1 << (3 * m + a * i + j)
+        moves.append(move)
+    return tuple(wbasis), tuple(moves)
+
+
+def _centraliser_fixes(
+    entry: tuple, n: int, fc_rows: Sequence[int], wrows: Sequence[int]
+) -> bool:
+    """Whether an element of C(sigma) other than the identity and sigma
+    fixes the code spanned by the F_C rows ``fc_rows`` and the twist
+    rows ``wrows``, w_i + sigma w_i = u_i, of the census block whose
+    ``_block_entry`` is ``entry``.
+
+    f_x pi fixes the code exactly when, for every i, d_i = w_i +
+    pi^-1(sum_j c_ij w_j) equals X' & u_i modulo F_C, with X' =
+    pi^-1(X); that is when d mod F_C lies in W.
+    """
+    if not entry:
+        return True
+    wbasis, moves = entry
     m = n // 2
-    images = [0] * n
-    used = [False] * m
+    a = len(wrows)
+    for move in moves:
+        c = move >> 3 * m
+        d = 0
+        for i, w in enumerate(wrows):
+            row = c >> a * i
+            s = 0
+            for j, v in enumerate(wrows):
+                if row >> j & 1:
+                    s ^= v
+            d = d << n | _reduce(fc_rows, w ^ _permute_pairs(move, s, m))
+        if not _reduce(wbasis, d):
+            return True
+    return False
 
-    def rec(p: int, fwd: list[int], bwd: list[int]) -> Iterator[tuple[int, ...]]:
-        if p == m:
-            yield tuple(images)
-            return
-        a0, a1 = 2 * p, 2 * p + 1
-        s0, s1 = sigs[a0], sigs[a1]
-        for q in range(m):
-            if used[q]:
-                continue
-            for b0, b1 in ((2 * q, 2 * q + 1), (2 * q + 1, 2 * q)):
-                if sigs[b0] != s0 or sigs[b1] != s1:
-                    continue
-                bases = arc(a0, b0, fwd, bwd)
-                if bases is None:
-                    continue
-                bases = arc(a1, b1, *bases)
-                if bases is None:
-                    continue
-                images[a0], images[a1] = b0, b1
-                used[q] = True
-                yield from rec(p + 1, *bases)
-                used[q] = False
 
-    return rec(0, [], [])
+def _pairing_split(code: LinearCode) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(U rows, F_C rows, twist rows) of a code under the pairing, as
+    ``census._invariant_positions`` yields them: reduced bases of U =
+    (id + sigma)C and of the fixed subcode, and for each U row u a
+    codeword w with w + sigma w = u.  One echelon basis of the rows
+    (c + sigma c) | c << n holds all three, as in ``fixed.fixed_subcode``."""
+    n = code.n
+    low = (1 << n) - 1
+    evens = low // 3
+    graph = _rref_ints(
+        (c ^ ((c & evens) << 1 | (c >> 1) & evens)) | c << n for c in code.rows
+    )
+    moving = [r for r in graph if r & low]
+    return (
+        tuple(r & low for r in moving),
+        tuple(r >> n for r in graph if not r & low),
+        tuple(r >> n for r in moving),
+    )
+
+
+def _other_pairing_involution(code: LinearCode) -> bool:
+    """Test (b) of the module docstring: whether a fixed point free
+    involution other than the pairing sigma = (0,1)(2,3)... fixes the
+    code, by the p = 2 search of ``_cycle_automorphisms``."""
+    sigma = tuple(i ^ 1 for i in range(code.n))
+    return any(imgs != sigma for imgs in _cycle_automorphisms(code, (2,)))
 
 
 def _group_is_pairing(code: LinearCode) -> bool:
     """Whether PAut(C) is exactly {identity, sigma}, for a code invariant
     under the pairing sigma = (0,1)(2,3)...
 
-    Runs test (a) of the module docstring, the centraliser search, and
-    only when it finds nothing but the identity and sigma, test (b), the
-    fixed point free involution search.  Both share one set-up.  The
-    answer equals ``find_automorphism_outside(code, (id, sigma)) is
-    None``; it is not meaningful for a code that sigma does not fix.
+    Runs test (a) of the module docstring on the code's census block
+    (``_pairing_split``, ``_block_entry``, ``_centraliser_fixes``), and
+    only when no element of C(sigma) but the identity and sigma fixes
+    the code, test (b), ``_other_pairing_involution``.  The answer
+    equals ``find_automorphism_outside(code, (id, sigma)) is None``; it
+    is not meaningful for a code that sigma does not fix.
     """
     n = code.n
     if n > LENGTH_GUARD:
         raise TooLarge(f"automorphism search limited to length {LENGTH_GUARD}")
-    side = _search_side(code)
-    ident = tuple(range(n))
-    sigma = tuple(i ^ 1 for i in range(n))
-    if any(imgs != ident and imgs != sigma for imgs in _centraliser_search(side)):
+    if n % 2:
+        raise InvalidInput("the pairing involution needs even length")
+    u_rows, fc_rows, wrows = _pairing_split(code)
+    if _centraliser_fixes(_block_entry(n, u_rows, fc_rows), n, fc_rows, wrows):
         return False
-    return all(imgs == sigma for imgs in _cycle_search(side, (2,)))
+    return not _other_pairing_involution(code)
 
 
 def quasi_group_witness(code: LinearCode) -> Perm | None:

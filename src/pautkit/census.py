@@ -302,7 +302,12 @@ def _invariant_positions(
                     lifts = [x & half for x in u_rows]
                     u_at = i_u
                 s_rows = _span_rows(quotient, _echelon_at(d_fix - a, f - a, i_s))
-                fc_rows = _rref_ints(u_rows + s_rows)
+                # the U rows are reduced already, so only the s rows go in
+                fc_basis = list(u_rows)
+                for row in s_rows:
+                    fc_basis = _insert(fc_basis, row)
+                fc_basis.sort(key=lambda r: r & -r)
+                fc_rows = tuple(fc_basis)
                 rbasis = _complement_of(f_key, f_basis, fc_rows)
                 fc_at = at
             wrows = []

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .autgroup import LENGTH_GUARD, _cycle_automorphisms, is_automorphism
+from .autgroup import LENGTH_GUARD, _cycle_automorphisms, _pair_flip_map, is_automorphism
 from .errors import InvalidInput, NotFixed, NotInvariant, TooLarge
-from .gf2 import LinearCode, Word, _insert, _reduce, _rref_ints
+from .gf2 import LinearCode, Word, _insert, _rref_ints
 from .perm import Perm, _apply_bits, from_transpositions, pair_product
 
 
@@ -237,20 +237,11 @@ def _block_alpha_x(n: int, u_rows: Sequence[int], fc_rows: Sequence[int]) -> boo
     For x in F_C, alpha-x fixes F_C pointwise and adds x & u to a
     codeword c with c + c^sigma = u, so it is an automorphism exactly
     when x & u lies in F_C for every row u; those x form the kernel K of
-    x -> (x & u mod F_C)_u, found like ``fixed_subcode`` as the rows of a
-    graph basis that vanish on the image part.  The rung exits when K
-    holds a word other than 0 and the all-ones word, whose alpha-x is
-    sigma itself.
+    x -> (x & u mod F_C)_u on F_C, ``autgroup._pair_flip_map``.  The rung
+    exits when K holds a word other than 0 and the all-ones word, whose
+    alpha-x is sigma itself.
     """
-    shift = n * len(u_rows)
-    graph = []
-    for x in fc_rows:
-        image = 0
-        for u in u_rows:
-            image = image << n | _reduce(fc_rows, x & u)
-        graph.append(image | x << shift)
-    low = (1 << shift) - 1
-    kernel = [r >> shift for r in _rref_ints(graph) if not r & low]
+    kernel, _image = _pair_flip_map(n, u_rows, fc_rows, fc_rows)
     return len(kernel) > 1 or bool(kernel) and kernel[0] != (1 << n) - 1
 
 

@@ -28,7 +28,10 @@ from .autgroup import (
     is_quasi_group_code,
     paut,
     _automorphism_images,
+    _block_entry,
+    _centraliser_fixes,
     _group_is_pairing,
+    _other_pairing_involution,
 )
 from .census import (
     _invariant_positions,
@@ -421,7 +424,8 @@ def pairing_group_is_everything(code: LinearCode, sigma: Perm) -> bool:
     the pair support is not full, then the pair products attached to
     nonzero fixed words) are tried first; they also check that sigma is
     the canonical pairing and fixes the code.  The rest is decided by
-    the centraliser-first test ``autgroup._group_is_pairing``."""
+    the block-level centraliser test and the involution search of
+    ``autgroup._group_is_pairing``."""
     if _cheap_witness(code, sigma) is not None:
         return False
     return _group_is_pairing(code)
@@ -436,10 +440,13 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dic
     the witness ladder are decided once per (U, F_C) block of the census:
     the complement rung (``fixed._block_free_pairs``) exits when U misses
     a pair, and otherwise ``fixed._block_alpha_x`` decides the alpha-x
-    rung, as ``fixed._block_settled`` does.  Only the codes of
-    the blocks they do not settle are built and searched, with
-    ``autgroup._group_is_pairing``, which gives the same outcome as
-    ``pairing_group_is_everything`` on every code.  Every code is still
+    rung, as ``fixed._block_settled`` does.  In a block they leave open,
+    test (a) of ``autgroup._group_is_pairing`` is decided per code from
+    the block's entry (``autgroup._block_entry``, computed once per
+    process) by ``autgroup._centraliser_fixes``, and only the codes that
+    pass it are built and searched by test (b),
+    ``autgroup._other_pairing_involution``; this gives the same outcome
+    as ``pairing_group_is_everything`` on every code.  Every code is still
     checked on its generator rows: the F_C rows must be fixed by sigma
     and each twist row w must have w + w^sigma in F_C, and the complement
     witness, the pair product over the pairs U misses, must fix each
@@ -462,6 +469,8 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dic
                 raise NotInvariant("code is not invariant under the pairing involution")
             free = _block_free_pairs(n, u_rows)
             settled = bool(free) or _block_alpha_x(n, u_rows, fc_rows)
+            if not settled:
+                entry = _block_entry(n, u_rows, fc_rows)
         for w in wrows:
             if _reduce(fc_rows, w ^ ((w & low_bits) << 1 | (w >> 1) & low_bits)):
                 raise NotInvariant("code is not invariant under the pairing involution")
@@ -469,8 +478,10 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dic
             if any((w ^ w >> 1) & free for w in wrows):
                 raise RuntimeError("fixed point witness failed validation")
             continue
+        if _centraliser_fixes(entry, n, fc_rows, wrows):
+            continue
         code = LinearCode(n, _rref_ints(fc_rows + wrows))
-        if _group_is_pairing(code):
+        if not _other_pairing_involution(code):
             ces.append(Counterexample(code, "automorphism group is exactly the pairing").to_dict())
     return scanned, ces
 

@@ -95,6 +95,36 @@ def brute_centraliser_images(code: LinearCode) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
+def brute_pair_flips(code: LinearCode) -> list[int]:
+    """The pair sets x, as m-bit masks, whose flip (swap both coordinates
+    of every pair in x, fix the rest) maps the code onto itself, by
+    filtering all 2^(n/2) of them."""
+    m = code.n // 2
+    words = codeword_set(code)
+    found = []
+    for flips in range(1 << m):
+        images = [i ^ (flips >> (i // 2) & 1) for i in range(code.n)]
+        if _fixes(code, words, images):
+            found.append(flips)
+    return found
+
+
+def brute_pair_stabiliser(n: int, u_rows, fc_rows) -> set[tuple[int, ...]]:
+    """The pair permutations pi other than the identity (pair p goes
+    straight to pair pi[p]) that map both the span of ``u_rows`` and the
+    span of ``fc_rows`` onto themselves, by filtering all of S_{n/2}."""
+    spans = [LinearCode(n, tuple(rows)) for rows in (u_rows, fc_rows)]
+    words = [codeword_set(c) for c in spans]
+    found = set()
+    for perm in permutations(range(n // 2)):
+        images = [2 * perm[i // 2] + (i & 1) for i in range(n)]
+        if perm != tuple(range(n // 2)) and all(
+            _fixes(c, w, images) for c, w in zip(spans, words)
+        ):
+            found.add(perm)
+    return found
+
+
 def brute_weight_signatures(code: LinearCode) -> list[tuple[int, ...]]:
     """For each coordinate, the per-weight counts of codewords with a 1
     there, one bit at a time."""

@@ -20,9 +20,12 @@ from pautkit import (
 from pautkit import autgroup
 from pautkit.autgroup import (
     StabilizerChain,
-    _centraliser_automorphisms,
+    _block_entry,
+    _centraliser_fixes,
     _cycle_automorphisms,
     _group_is_pairing,
+    _new_block_entry,
+    _pairing_split,
     _primes_dividing,
 )
 from pautkit.perm import (
@@ -37,15 +40,20 @@ from pautkit.perm import (
 )
 from pautkit.census import (
     CensusSlice,
+    _invariant_positions,
     enumerate_sigma_invariant,
     shard,
     sigma_invariant_count,
 )
+from pautkit.fixed import _block_settled
+from pautkit.gf2 import _rref_ints
 from pautkit.perm import canonical_sigma
 
 from bruteforce import (
     brute_automorphism_images,
     brute_centraliser_images,
+    brute_pair_flips,
+    brute_pair_stabiliser,
     brute_weight_signatures,
 )
 from test_verify import ORDER_TWO_LENGTH12_REPS
@@ -275,25 +283,122 @@ def test_group_is_pairing_runs_the_involution_search(monkeypatch):
     # involutions; (1,2)(3,4) and (1,3)(2,4) both fix this code
     code = rref([Word.from_string("1100"), Word.from_string("0011")])
     assert not _pairing_only(code)
-    blind = lambda side: iter([tuple(range(side[0]))])
-    monkeypatch.setattr(autgroup, "_centraliser_search", blind)
+    monkeypatch.setattr(autgroup, "_centraliser_fixes", lambda *args: False)
     assert not _group_is_pairing(code)
 
 
-def test_centraliser_stream_equals_bruteforce():
-    # the stream of test (a) against a filter of Z_2 wr S_{n/2}: every
-    # sigma-invariant code at n <= 6, a sample at n = 8, and random codes
-    # that sigma need not fix
-    rng = random.Random(71)
+def _centraliser_verdict(code):
+    # test (a) from the code's census block: True when an element of
+    # C(sigma) other than the identity and sigma fixes the code
+    n = code.n
+    u_rows, fc_rows, wrows = _pairing_split(code)
+    assert LinearCode(n, _rref_ints(fc_rows + wrows)) == code
+    return _centraliser_fixes(_block_entry(n, u_rows, fc_rows), n, fc_rows, wrows)
+
+
+def test_block_centraliser_test_equals_bruteforce():
+    # test (a) against a filter of Z_2 wr S_{n/2}: every sigma-invariant
+    # code at n <= 6 and every 23rd at n = 8.  Each move of a block entry
+    # is one pair permutation pi of K other than the identity, and on its
+    # own it must pass exactly when some pair flip f_x completes pi to an
+    # automorphism
     codes = [c for n in (2, 4, 6) for k in range(n + 1) for c in enumerate_sigma_invariant(n, k)]
     codes += [c for k in range(9) for c in enumerate_sigma_invariant(8, k)][::23]
-    codes += [rand_code(rng, n) for n in (4, 6, 8) for _ in range(10)]
-    invariant = 0
+    passed = moves_checked = 0
     for code in codes:
+        n, m = code.n, code.n // 2
         brute = brute_centraliser_images(code)
-        assert list(_centraliser_automorphisms(code)) == brute
-        invariant += canonical_sigma(code.n).images in brute
-    assert invariant >= 147 + 80
+        fixes = _centraliser_verdict(code)
+        assert fixes == (not set(brute) <= {tuple(range(n)), canonical_sigma(n).images})
+        passed += not fixes
+        u_rows, fc_rows, wrows = _pairing_split(code)
+        entry = _block_entry(n, u_rows, fc_rows)
+        if not entry:
+            continue
+        wbasis, moves = entry
+        completed = {tuple(g[2 * p] // 2 for p in range(m)) for g in brute}
+        perms = set()
+        for move in moves:
+            inverse = [move >> 3 * q & 7 for q in range(m)]
+            pi = tuple(inverse.index(p) for p in range(m))
+            perms.add(pi)
+            alone = _centraliser_fixes((wbasis, (move,)), n, fc_rows, wrows)
+            assert alone == (pi in completed)
+            moves_checked += 1
+        assert perms == brute_pair_stabiliser(n, u_rows, fc_rows)
+    # only the three codes of length 2 pass
+    assert (len(codes), passed) == (147 + 87, 3)
+    assert moves_checked > 0
+
+
+def _open_length12_positions():
+    # every position of slices 0 and 37 of 100 at n = 12, k = 5..7, in a
+    # block that the cheap rungs leave open, by slice
+    sigma = canonical_sigma(12)
+    return {
+        index: [
+            (u_rows, fc_rows, wrows)
+            for k in (5, 6, 7)
+            for u_rows, fc_rows, wrows in _invariant_positions(12, k, sigma, index, 100)
+            if not _block_settled(12, u_rows, fc_rows)
+        ]
+        for index in (0, 37)
+    }
+
+
+def test_block_centraliser_test_on_length12_open_codes():
+    # on the open codes of two n = 12 slices test (a) alone decides the
+    # group, as no code there needs (b): it must agree with the full
+    # automorphism tree, and the census block must be the code's own
+    allowed = (Perm.identity(12), canonical_sigma(12))
+    hits = []
+    opened = 0
+    for positions in _open_length12_positions().values():
+        found = 0
+        for u_rows, fc_rows, wrows in positions:
+            code = LinearCode(12, _rref_ints(fc_rows + wrows))
+            assert _pairing_split(code)[:2] == (tuple(u_rows), fc_rows)
+            entry = _block_entry(12, u_rows, fc_rows)
+            passes = not _centraliser_fixes(entry, 12, fc_rows, wrows)
+            assert passes == (find_automorphism_outside(code, allowed) is None)
+            found += passes
+        opened += len(positions)
+        hits.append(found)
+    assert (opened, hits) == (4634, [433, 493])
+
+
+def test_flip_only_blocks_have_pair_flip_automorphisms():
+    # an open block whose flip kernel holds more than the identity and
+    # sigma: the alpha-x rung tries only the flips of words in F_C, so it
+    # leaves the block open, and every code of it has another pair flip
+    blocks = set()
+    codes = 0
+    for positions in _open_length12_positions().values():
+        for u_rows, fc_rows, wrows in positions:
+            if _block_entry(12, u_rows, fc_rows) != ():
+                continue
+            blocks.add((tuple(u_rows), fc_rows))
+            codes += 1
+            code = LinearCode(12, _rref_ints(fc_rows + wrows))
+            assert set(brute_pair_flips(code)) - {0, 63}
+    assert (len(blocks), codes) == (112, 132)
+
+
+def test_block_table_stops_at_its_cap(monkeypatch):
+    # the sigma-invariant codes at n = 8 sit in more blocks than this cap
+    codes = [c for k in range(9) for c in enumerate_sigma_invariant(8, k)]
+    monkeypatch.setattr(autgroup, "_blocks", {})
+    want = [_centraliser_verdict(c) for c in codes]
+    blocks = len(autgroup._blocks)
+    monkeypatch.setattr(autgroup, "_blocks", {})
+    monkeypatch.setattr(autgroup, "BLOCK_CAP", 100)
+    assert [_centraliser_verdict(c) for c in codes] == want
+    assert len(autgroup._blocks) == 100 < blocks
+    # past the cap an entry is still computed, just not stored
+    for code in codes[::7]:
+        u_rows, fc_rows, _wrows = _pairing_split(code)
+        assert _block_entry(8, u_rows, fc_rows) == _new_block_entry(8, u_rows, fc_rows)
+    assert len(autgroup._blocks) == 100
 
 
 def test_stabilizer_chain_against_closure():

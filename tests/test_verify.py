@@ -493,7 +493,7 @@ def test_length12_slice_outcome():
 def test_length12_full_scan_totals():
     """Reproduces the full length-12 scan: 2410873 invariant codes at
     dimensions 5..7, of which exactly 46080 (all of dimension 6) have
-    automorphism group exactly the pairing.  About 100 CPU-s (52-56 s
+    automorphism group exactly the pairing.  About 40 CPU-s (21-28 s
     wall with 4 workers on 2 cores, Python 3.11.7); CI runs it weekly
     and on demand."""
     report = conjecture_search(12, jobs=4)
