@@ -12,11 +12,30 @@ lexicographic order.  Two prunes keep the tree small:
   (target column, source column) vectors.
 
 With the consistency prune, every leaf of the tree is an automorphism
-and every automorphism is a leaf, so the stream is exact.  Orders of
-potentially huge groups are tracked with an incremental Schreier-Sims
-stabilizer chain instead of materializing the element set.
+and every automorphism is a leaf, so the stream is exact.
 
-Both searches run on the smaller of C and its dual: PAut(C) =
+``paut`` does not walk every leaf.  It runs the base-image search with
+known-subgroup pruning of Leon (J. S. Leon, "Computing automorphism
+groups of error-correcting codes", IEEE Trans. IT 28, 1982) bottom up.
+Let G_i be the subgroup of G = PAut(C) fixing 0..i-1.  Level i, for i
+= n-1 down to 0, keeps Delta_i, the orbit of i under the generators
+found so far, all of which fix 0..i-1.  For each candidate t > i with
+the weight signature of i and t not in Delta_i, the first leaf of the
+subtree that fixes 0..i-1 and sends i to t, if there is one, is an
+automorphism in G_i; it becomes a generator and Delta_i is closed
+again.  When the level ends, Delta_i is the orbit of i under G_i, and
+as the generators of the levels below generate G_(i+1), the stabiliser
+of i in G_i, they and the new ones generate G_i.  So |G| is the product
+of the |Delta_i|, and the searched subtrees are disjoint subtrees of the
+full tree, one per new orbit point rather than one leaf per element.
+Two more cuts use the known subgroup H.  The orbit of i under G_i is a
+union of H-orbits, so a t that no automorphism reaches rules out its
+whole H-orbit.  And for j > i, the first leaf g of a subtree is the
+first of its coset g G_j, so g(j) < g(x) for every other x in Delta_j:
+a node that sends such an x below the image of j is cut
+(``_image_tree``).  Neither cut changes the generators found.
+
+All searches run on the smaller of C and its dual: PAut(C) =
 PAut(C-perp), and the prunes are exact, so the two trees have the same
 leaves in the same lexicographic order, while the tree of a k = 5 dual
 at n = 12 is about ten times cheaper to walk than that of its k = 7
@@ -81,19 +100,20 @@ it inverts N, and for n in N with n = m^2 (m in N, as |N| is odd) sigma
 n = m^-1 sigma m.  Every n != 1 thus gives a conjugate of sigma other
 than sigma, which is a fixed point free involution in G.  Hence G =
 <sigma> exactly when (a) and (b) both hold; (b) runs only when (a) does.
-The search of (b) is Leon's backtrack (J. S. Leon, "Computing
-automorphism groups of error-correcting codes", IEEE Trans. IT 28,
-1982) restricted to fixed point free involutions.
+The search of (b) is Leon's backtrack (cited above) restricted to
+fixed point free involutions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _sym_images
-from math import factorial
+from math import prod
+from operator import ne
 from struct import Struct
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidInput, TooLarge
 from .gf2 import LinearCode, _insert, _reduce, _rref_ints
@@ -167,37 +187,74 @@ def _smaller_side(code: LinearCode) -> LinearCode:
     return code.dual() if 2 * code.k > code.n else code
 
 
-def _automorphism_images(code: LinearCode) -> Iterator[tuple[int, ...]]:
-    """All automorphism image tables in lexicographic order."""
-    if code.n > LENGTH_GUARD:
-        raise TooLarge(f"automorphism search limited to length {LENGTH_GUARD}")
+def _search_side(code: LinearCode):
+    """Set-up of the pruned searches, made once per code: (n, k, cols,
+    sigs, arc) of the smaller side, with its generator matrix columns,
+    its per-coordinate weight signatures and its arc test.  ``arc(a, b,
+    fwd, bwd)`` returns the two echelon bases grown by a -> b, or None
+    when that arc is inconsistent with the arcs chosen so far."""
     code = _smaller_side(code)
     n, k = code.n, code.k
-    if k == 0:
-        yield from _sym_images(range(n))
-        return
-
     cols = _columns(code)
-    sigs = _weight_signatures(code)
-    cands = [
-        tuple(t for t in range(n) if sigs[t] == sigs[i]) for i in range(n)
-    ]
+    # every coordinate has the same signature when k is 0
+    sigs = [()] * n if k == 0 else _weight_signatures(code)
     low_mask = (1 << k) - 1
-    images = [0] * n
+
+    def arc(a: int, b: int, fwd: list[int], bwd: list[int]):
+        f2 = _insert(fwd, cols[b] | (cols[a] << k), low_mask)
+        if f2 is None:
+            return None
+        b2 = _insert(bwd, cols[a] | (cols[b] << k), low_mask)
+        if b2 is None:
+            return None
+        return f2, b2
+
+    return n, k, cols, sigs, arc
+
+
+def _image_tree(code: LinearCode):
+    """The automorphism search tree of the code: (cands, above, below, rec).
+
+    ``cands[i]`` lists, in increasing order, the coordinates with the
+    weight signature of i.  ``rec(0, [], [])`` yields every leaf in
+    lexicographic order, and ``below(i, t)`` the leaves of the subtree
+    whose nodes fix 0..i-1 and send i to t, for t in ``cands[i]``.
+
+    ``above[x]`` starts as () for every x.  A caller that has the orbit
+    Delta_j of j under the subgroup fixing 0..j-1 may add j to
+    ``above[x]`` for each other point x of Delta_j; the search then
+    keeps only the nodes that send x above the image of j.  An
+    automorphism g that is the first leaf of its coset g G_j (G_j the
+    subgroup fixing 0..j-1) has g(j) < g(x) for every other x in
+    Delta_j, so this cuts no first leaf of a subtree below(i, t) with
+    i < j.
+    """
+    n, k, cols, sigs, arc = _search_side(code)
+    low_mask = (1 << k) - 1
+    cands = [tuple(t for t in range(n) if sigs[t] == sigs[i]) for i in range(n)]
+    above: list[tuple[int, ...]] = [()] * n
+    images = list(range(n))
     used = [False] * n
+    # fixed[i]: the two echelon bases of the identity on 0..i-1
+    fixed = [([], [])]
 
     def rec(i: int, fwd: list[int], bwd: list[int]) -> Iterator[tuple[int, ...]]:
         if i == n:
             yield tuple(images)
             return
         ci = cols[i]
+        floor = -1
+        for j in above[i]:
+            if images[j] > floor:
+                floor = images[j]
         for t in cands[i]:
-            if used[t]:
+            if used[t] or t < floor:
                 continue
-            f2 = _insert(fwd, cols[t] | (ci << k), low_mask)
+            # arc(i, t, fwd, bwd), inlined on the hot path
+            f2 = _insert(fwd, cols[t] | ci << k, low_mask)
             if f2 is None:
                 continue
-            b2 = _insert(bwd, ci | (cols[t] << k), low_mask)
+            b2 = _insert(bwd, ci | cols[t] << k, low_mask)
             if b2 is None:
                 continue
             images[i] = t
@@ -205,6 +262,30 @@ def _automorphism_images(code: LinearCode) -> Iterator[tuple[int, ...]]:
             yield from rec(i + 1, f2, b2)
             used[t] = False
 
+    def below(i: int, t: int) -> Iterator[tuple[int, ...]]:
+        while len(fixed) <= i:
+            j = len(fixed) - 1
+            fixed.append(arc(j, j, *fixed[j]))
+        bases = arc(i, t, *fixed[i])
+        if bases is None:
+            return
+        used[:] = [j < i or j == t for j in range(n)]
+        images[:i] = range(i)
+        images[i] = t
+        yield from rec(i + 1, *bases)
+
+    return cands, above, below, rec
+
+
+def _automorphism_images(code: LinearCode) -> Iterator[tuple[int, ...]]:
+    """All automorphism image tables in lexicographic order."""
+    if code.n > LENGTH_GUARD:
+        raise TooLarge(f"automorphism search limited to length {LENGTH_GUARD}")
+    if code.k in (0, code.n):
+        # every permutation
+        yield from _sym_images(range(code.n))
+        return
+    *_, rec = _image_tree(code)
     yield from rec(0, [], [])
 
 
@@ -233,7 +314,8 @@ class StabilizerChain:
     Level i uses every strong generator fixing the points below i, and
     a rebuild runs until every Schreier generator sifts to the
     identity; each appended residue strictly grows some orbit, so the
-    loop terminates.
+    loop terminates.  ``paut`` does not use it; fed ``paut``'s
+    generators, it gives an independent check of the order.
     """
 
     def __init__(self, n: int):
@@ -327,159 +409,184 @@ class PAutReport:
     has_fixed_point_involution: bool
 
 
-def _symmetric_report(n: int) -> PAutReport:
-    gens: list[Perm] = []
-    if n >= 2:
-        gens.append(Perm(tuple([1, 0] + list(range(2, n)))))
-    if n >= 3:
-        gens.append(Perm(tuple(list(range(1, n)) + [0])))
-    return PAutReport(
-        order=factorial(n),
-        generators=tuple(gens),
-        is_cyclic_of_order_2=(n == 2),
-        has_fpf_involution=(n >= 2 and n % 2 == 0),
-        has_fixed_point_involution=(n >= 3),
-    )
+def _orbit(x: int, gens: Sequence[tuple[int, ...]]) -> set[int]:
+    """The orbit of the point x under the group the image tables generate."""
+    orbit = [x]
+    seen = {x}
+    for y in orbit:
+        for g in gens:
+            z = g[y]
+            if z not in seen:
+                seen.add(z)
+                orbit.append(z)
+    return seen
 
 
-def _stabilizer_report(n: int, row: int) -> PAutReport:
-    """Group fixing a single nonzero word: independent shuffles of its
-    support and of its complement."""
-    support = [i for i in range(n) if row >> i & 1]
-    rest = [i for i in range(n) if not row >> i & 1]
-    gens: list[Perm] = []
-    for part in (support, rest):
-        if len(part) >= 2:
-            imgs = list(range(n))
-            imgs[part[0]], imgs[part[1]] = part[1], part[0]
-            gens.append(Perm(tuple(imgs)))
-        if len(part) >= 3:
-            imgs = list(range(n))
-            for a, b in zip(part, part[1:] + part[:1]):
-                imgs[a] = b
-            gens.append(Perm(tuple(imgs)))
-    d = len(support)
-    order = factorial(d) * factorial(n - d)
-    return PAutReport(
-        order=order,
-        generators=tuple(gens),
-        is_cyclic_of_order_2=(order == 2),
-        has_fpf_involution=(d % 2 == 0 and (n - d) % 2 == 0),
-        has_fixed_point_involution=(n >= 3 and max(d, n - d) >= 2),
-    )
+def _base_images(code: LinearCode) -> tuple[list[tuple[int, ...]], list[set[int]]]:
+    """(generators, orbits) of PAut(C) by the base-image search of the
+    module docstring: ``orbits[i]`` is the orbit of i under the subgroup
+    fixing 0..i-1, and the generators found at levels i and above, a
+    prefix of the list, generate that subgroup."""
+    n = code.n
+    cands, above, below, _ = _image_tree(code)
+    gens: list[tuple[int, ...]] = []
+    orbits: list[set[int]] = [set()] * n
+    for i in reversed(range(n)):
+        orbit = {i}
+        # points no element fixing 0..i-1 sends i to
+        refuted: set[int] = set()
+        for t in cands[i]:
+            if t > i and t not in orbit and t not in refuted:
+                g = next(below(i, t), None)
+                if g is not None:
+                    gens.append(g)
+                    orbit = _orbit(i, gens)
+                else:
+                    # the orbit of i is a union of orbits of the known subgroup
+                    refuted |= _orbit(t, gens)
+        orbits[i] = orbit
+        for x in orbit - {i}:
+            above[x] += (i,)
+    return gens, orbits
 
 
 def paut(code: LinearCode) -> PAutReport:
     """Exact order, generators and involution flags of the automorphism group.
 
-    Runs the full search for 2 <= k <= n-2 (and for every k at n <= 8,
-    so the search itself is exercised against closed forms there).  The
-    degenerate dimensions at larger n use closed forms because those
-    groups can have order near n!.
+    The order is the product of the basic orbit lengths of the
+    base-image search (module docstring), and the generators are the
+    ones it found, from level n-1 down.  By Cauchy's theorem an
+    involution with a fixed point exists iff some point's stabiliser
+    has even order |G| / |orbit|; a fixed point free involution is the
+    first leaf of the p = 2 cycle search.
     """
-    n, k = code.n, code.k
+    n = code.n
     if n > LENGTH_GUARD:
         raise TooLarge(f"exact PAut limited to length {LENGTH_GUARD}")
-    if n > 8 and k in (0, n):
-        return _symmetric_report(n)
-    if n > 8 and k in (1, n - 1):
-        # PAut(C) = PAut(dual(C)), so the co-dimension-1 case reduces to
-        # the stabilizer of the dual's single generator
-        row = (code if k == 1 else code.dual()).rows[0]
-        return _stabilizer_report(n, row)
-
-    chain = StabilizerChain(n)
-    gens: list[Perm] = []
-    count = 0
-    has_fpf = False
+    gens, orbits = _base_images(code)
+    order = prod(len(orbit) for orbit in orbits)
     has_fix = False
-    ident = tuple(range(n))
-    for imgs in _automorphism_images(code):
-        count += 1
-        if imgs != ident and all(imgs[x] == i for i, x in enumerate(imgs)):
-            if all(x != i for i, x in enumerate(imgs)):
-                has_fpf = True
-            else:
-                has_fix = True
-        if not chain.contains(imgs):
-            chain.add(imgs)
-            gens.append(Perm(imgs))
-    if chain.order() != count:
-        raise RuntimeError("stabilizer chain disagrees with the element stream")
+    seen: set[int] = set()
+    for x in range(n):
+        if x not in seen:
+            orbit = _orbit(x, gens)
+            seen |= orbit
+            has_fix = has_fix or order // len(orbit) % 2 == 0
+    has_fpf = n > 0 and n % 2 == 0 and next(_cycle_automorphisms(code, (2,)), None) is not None
     return PAutReport(
-        order=count,
-        generators=tuple(gens),
-        is_cyclic_of_order_2=(count == 2),
+        order=order,
+        generators=tuple(Perm(g) for g in gens),
+        is_cyclic_of_order_2=(order == 2),
         has_fpf_involution=has_fpf,
         has_fixed_point_involution=has_fix,
     )
 
 
-def _free_closure(
-    base: frozenset, gen: tuple[int, ...], n: int, cap: int
-) -> frozenset | None:
-    """Closure of base + {gen} under composition, rejected (None) as soon
-    as it exceeds ``cap`` elements or contains a non-identity element
-    with a fixed point."""
+def _free_closure(gens: list[tuple[int, ...]], n: int) -> frozenset | None:
+    """The group the image tables ``gens`` generate, or None as soon as
+    it exceeds n elements or holds a non-identity element with a fixed
+    point."""
     ident = tuple(range(n))
-    elems = set(base)
-    elems.add(gen)
-    if len(elems) > cap:
-        return None
-    changed = True
-    while changed:
-        changed = False
-        cur = list(elems)
-        for a in cur:
-            for b in cur:
-                c = _mult(a, b)
-                if c not in elems:
-                    if c != ident and any(c[i] == i for i in range(n)):
-                        return None
-                    elems.add(c)
-                    if len(elems) > cap:
-                        return None
-                    changed = True
+    elems = {ident}
+    queue = [ident]
+    for a in queue:
+        for s in gens:
+            c = _mult(a, s)
+            if c not in elems:
+                if not all(map(ne, c, ident)):
+                    return None
+                elems.add(c)
+                if len(elems) > n:
+                    return None
+                queue.append(c)
     return frozenset(elems)
 
 
-def _has_regular_subgroup(elements: list[tuple[int, ...]], n: int) -> bool:
-    """Does the listed group contain an order-n subgroup all of whose
-    non-identity elements are fixed point free (transitive + free)?"""
+def _has_regular_subgroup(firsts: Callable[[int], list[tuple[int, ...]]], n: int) -> bool:
+    """Does the group contain an order-n subgroup all of whose
+    non-identity elements are fixed point free (transitive + free)?
+    ``firsts(j)`` lists the group's fixed point free elements that send
+    0 to j.  The subgroup grows one such element at a time."""
     if n == 1:
         return True
-    ident = tuple(range(n))
-    by_first: dict[int, list[tuple[int, ...]]] = {}
-    for g in elements:
-        if all(g[i] != i for i in range(n)):
-            by_first.setdefault(g[0], []).append(g)
-    if any(j not in by_first for j in range(1, n)):
-        return False
     seen: set[frozenset] = set()
 
-    def grow(sub: frozenset) -> bool:
+    def grow(sub: frozenset, gens: list[tuple[int, ...]]) -> bool:
         if len(sub) == n:
             return True
         covered = {g[0] for g in sub}
         j = min(x for x in range(n) if x not in covered)
-        for g in by_first[j]:
-            nxt = _free_closure(sub, g, n, n)
+        for g in firsts(j):
+            nxt = _free_closure(gens + [g], n)
             if nxt is None or nxt in seen:
                 continue
             seen.add(nxt)
-            if n % len(nxt) == 0 and grow(nxt):
+            if n % len(nxt) == 0 and grow(nxt, gens + [g]):
                 return True
         return False
 
-    return grow(frozenset({ident}))
+    return grow(frozenset({tuple(range(n))}), [])
+
+
+def _transversal(x: int, gens: Sequence[tuple[int, ...]], ident: tuple[int, ...]) -> dict:
+    """For each point y of the orbit of x, an element of the group the
+    image tables generate that sends x to y."""
+    reps = {x: ident}
+    queue = [x]
+    for y in queue:
+        for g in gens:
+            z = g[y]
+            if z not in reps:
+                reps[z] = _mult(reps[y], g)
+                queue.append(z)
+    return reps
+
+
+def _fixed_point_free_cosets(
+    gens: list[tuple[int, ...]], n: int
+) -> Callable[[int], list[tuple[int, ...]]]:
+    """firsts(j): the fixed point free elements that send 0 to j of the
+    group G generated by ``gens``, for j in the orbit of 0.  ``gens``
+    are the generators of ``_base_images``, so those fixing 0..i-1
+    generate G_i.  The stabiliser G_0 of 0 is listed once from the
+    transversals of levels 1..n-1, and the coset of G_0 that sends 0 to
+    j is built when it is first asked for."""
+    ident = tuple(range(n))
+    # G_i = {h then u : h in G_(i+1), u a transversal element of level i}
+    stab = [ident]
+    for i in reversed(range(1, n)):
+        level = [g for g in gens if g[:i] == ident[:i]]
+        reps = _transversal(i, level, ident)
+        if len(reps) > 1:
+            stab = [_mult(h, u) for u in reps.values() for h in stab]
+    top = _transversal(0, gens, ident)
+    cosets: dict[int, list[tuple[int, ...]]] = {}
+
+    def firsts(j: int) -> list[tuple[int, ...]]:
+        if j not in cosets:
+            # h then u moves every point x exactly when h(x) != u^-1(x)
+            u = top[j]
+            v = _inv(u)
+            cosets[j] = [_mult(h, u) for h in stab if all(map(ne, h, v))]
+        return cosets[j]
+
+    return firsts
 
 
 def is_group_code(code: LinearCode) -> bool:
-    """True iff some subgroup of PAut acts regularly on the coordinates."""
+    """True iff some subgroup of PAut acts regularly on the coordinates.
+
+    A regular subgroup is transitive, so the group must be; the
+    subgroup search then draws its elements coset by coset
+    (``_fixed_point_free_cosets``).
+    """
     n = code.n
     if n > GROUP_CODE_GUARD:
         raise TooLarge(f"regular subgroup search limited to length {GROUP_CODE_GUARD}")
-    return _has_regular_subgroup(list(_automorphism_images(code)), n)
+    gens, orbits = _base_images(code)
+    if n > 1 and len(orbits[0]) < n:
+        return False
+    return _has_regular_subgroup(_fixed_point_free_cosets(gens, n), n)
 
 
 def _primes_dividing(n: int) -> list[int]:
@@ -495,31 +602,6 @@ def _primes_dividing(n: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
-
-
-def _search_side(code: LinearCode):
-    """Set-up of the pruned cycle search, made once per code: the
-    length, the per-coordinate weight signatures of the smaller side,
-    and its arc test.  ``arc(a, b, fwd, bwd)`` returns the two echelon
-    bases of ``_automorphism_images`` grown by a -> b, or None when that
-    arc is inconsistent with the arcs chosen so far."""
-    code = _smaller_side(code)
-    n, k = code.n, code.k
-    cols = _columns(code)
-    # every coordinate has the same signature when k is 0
-    sigs = [()] * n if k == 0 else _weight_signatures(code)
-    low_mask = (1 << k) - 1
-
-    def arc(a: int, b: int, fwd: list[int], bwd: list[int]):
-        f2 = _insert(fwd, cols[b] | (cols[a] << k), low_mask)
-        if f2 is None:
-            return None
-        b2 = _insert(bwd, cols[a] | (cols[b] << k), low_mask)
-        if b2 is None:
-            return None
-        return f2, b2
-
-    return n, sigs, arc
 
 
 def _cycle_automorphisms(
@@ -538,8 +620,11 @@ def _cycle_automorphisms(
     inserts of ``_automorphism_images``.  A prune cuts only subtrees
     without automorphisms and every surviving leaf is one, so this yields
     exactly the automorphisms of the unpruned stream, in its order.
+    Without ``fixed_ok`` a prime p is skipped at once unless it divides
+    the size of every signature class: such an element maps each class
+    onto itself in p-cycles.
     """
-    n, sigs, arc = _search_side(code)
+    n, _, _, sigs, arc = _search_side(code)
     images = [0] * n
     used = [False] * n
 
@@ -572,7 +657,11 @@ def _cycle_automorphisms(
             yield from rec(p, lead, b, length + 1, *bases)
             used[b] = False
 
+    # without fixed points, the p-cycles split every signature class
+    class_sizes = Counter(sigs).values()
     for p in primes:
+        if not fixed_ok and any(size % p for size in class_sizes):
+            continue
         used[0] = True
         yield from rec(p, 0, 0, 1, [], [])
         used[0] = False

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .autgroup import (
     GROUP_CODE_GUARD,
@@ -263,9 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NotInvariant as exc:

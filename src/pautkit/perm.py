@@ -27,7 +27,7 @@ def _apply_bits(images: tuple[int, ...], bits: int) -> int:
 
 def _mult(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     # apply p, then q
-    return tuple(q[x] for x in p)
+    return tuple(map(q.__getitem__, p))
 
 
 def _inv(p: tuple[int, ...]) -> tuple[int, ...]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import fcntl
 import json
-import multiprocessing
 import os
 import time
 from contextlib import contextmanager, nullcontext
@@ -631,7 +630,13 @@ def conjecture_search(
         ]
         work = [(n, k, u, _JOURNAL_UNITS, idx, total) for (k, u) in todo]
         parallel = jobs > 1 and len(work) > 1
-        with multiprocessing.Pool(jobs) if parallel else nullcontext() as pool:
+        pool = nullcontext()
+        if parallel:
+            # imported here: a serial scan or an analyze has no use for it
+            import multiprocessing
+
+            pool = multiprocessing.Pool(jobs)
+        with pool:
             results = pool.imap(_scan_unit, work) if parallel else map(_scan_unit, work)
             for (k, u), (scanned, ces) in zip(todo, results):
                 if journal_path is not None:

@@ -136,3 +136,62 @@ def brute_weight_signatures(code: LinearCode) -> list[tuple[int, ...]]:
             if bits >> i & 1:
                 sig[i][w] += 1
     return [tuple(s) for s in sig]
+
+
+def _free_closure(base: frozenset, gen, n: int, cap: int):
+    """Closure of base + {gen} under composition, None as soon as it
+    exceeds ``cap`` elements or holds a non-identity element with a
+    fixed point."""
+    ident = tuple(range(n))
+    elems = set(base)
+    elems.add(gen)
+    if len(elems) > cap:
+        return None
+    changed = True
+    while changed:
+        changed = False
+        cur = list(elems)
+        for a in cur:
+            for b in cur:
+                c = tuple(b[x] for x in a)
+                if c not in elems:
+                    if c != ident and any(c[i] == i for i in range(n)):
+                        return None
+                    elems.add(c)
+                    if len(elems) > cap:
+                        return None
+                    changed = True
+    return frozenset(elems)
+
+
+def element_list_is_group_code(elements, n: int) -> bool:
+    """Whether the listed permutation group (image tables) holds an
+    order-n subgroup whose non-identity elements are all fixed point
+    free, grown one fixed point free element at a time from the full
+    element list."""
+    if n == 1:
+        return True
+    ident = tuple(range(n))
+    by_first: dict[int, list] = {}
+    for g in elements:
+        if all(g[i] != i for i in range(n)):
+            by_first.setdefault(g[0], []).append(g)
+    if any(j not in by_first for j in range(1, n)):
+        return False
+    seen: set[frozenset] = set()
+
+    def grow(sub: frozenset) -> bool:
+        if len(sub) == n:
+            return True
+        covered = {g[0] for g in sub}
+        j = min(x for x in range(n) if x not in covered)
+        for g in by_first[j]:
+            nxt = _free_closure(sub, g, n, n)
+            if nxt is None or nxt in seen:
+                continue
+            seen.add(nxt)
+            if n % len(nxt) == 0 and grow(nxt):
+                return True
+        return False
+
+    return grow(frozenset({ident}))

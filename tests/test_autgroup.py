@@ -20,9 +20,12 @@ from pautkit import (
 from pautkit import autgroup
 from pautkit.autgroup import (
     StabilizerChain,
+    _automorphism_images,
+    _base_images,
     _block_entry,
     _centraliser_fixes,
     _cycle_automorphisms,
+    _fixed_point_free_cosets,
     _group_is_pairing,
     _new_block_entry,
     _pairing_split,
@@ -42,6 +45,7 @@ from pautkit.census import (
     CensusSlice,
     _invariant_positions,
     enumerate_sigma_invariant,
+    enumerate_subspaces,
     shard,
     sigma_invariant_count,
 )
@@ -55,6 +59,7 @@ from bruteforce import (
     brute_pair_flips,
     brute_pair_stabiliser,
     brute_weight_signatures,
+    element_list_is_group_code,
 )
 from test_verify import ORDER_TWO_LENGTH12_REPS
 
@@ -140,10 +145,46 @@ def test_paut_generators_generate_the_group():
             assert is_automorphism(c, g)
 
 
+def _involution_flags(elements):
+    # (a fixed point free involution, an involution with a fixed point)
+    # among the image tables, by scanning them
+    fpf = fix = False
+    for g in elements:
+        ident = tuple(range(len(g)))
+        if g != ident and all(g[x] == i for i, x in enumerate(g)):
+            if all(x != i for i, x in enumerate(g)):
+                fpf = True
+            else:
+                fix = True
+    return fpf, fix
+
+
+def test_paut_order_equals_stream_count():
+    # the base-image search against the full tree: on every code at
+    # n <= 6 and on samples at n = 7..10 the order is the number of
+    # leaves, a stabiliser chain fed the generators has that order, and
+    # the involution flags are those of the leaves
+    codes = [c for n in range(1, 7) for k in range(n + 1) for c in enumerate_subspaces(n, k)]
+    rng = random.Random(67)
+    codes += [rand_code(rng, n, rows=rng.randrange(2, n - 1)) for n in range(7, 11) for _ in range(15)]
+    for c in codes:
+        r = paut(c)
+        elems = list(_automorphism_images(c))
+        assert r.order == len(elems)
+        chain = StabilizerChain(c.n)
+        for g in r.generators:
+            assert is_automorphism(c, g)
+            chain.add(g.images)
+        assert chain.order() == r.order
+        if c.n <= 6:
+            assert (r.has_fpf_involution, r.has_fixed_point_involution) == _involution_flags(elems)
+    assert len(codes) == 3289 + 60
+
+
 def test_paut_flags_match_element_scan():
     rng = random.Random(31)
-    for _ in range(25):
-        n = rng.randrange(2, 7)
+    for _ in range(60):
+        n = rng.randrange(2, 9)
         c = rand_code(rng, n)
         r = paut(c)
         elems = list(automorphisms(c))
@@ -156,19 +197,67 @@ def test_paut_flags_match_element_scan():
 
 
 def test_paut_degenerate_dimensions_match_search():
-    # closed forms at n > 8 agree with the searched values at n <= 8
-    for n in (4, 6, 8):
-        assert paut(LinearCode.zero(n)).order == factorial(n)
-        assert paut(LinearCode.full(n)).order == factorial(n)
-    r = paut(LinearCode.zero(10))
-    assert r.order == factorial(10)
-    assert r.has_fpf_involution and r.has_fixed_point_involution
-    v = Word.from_string("1110000000")
-    r = paut(rref([v]))
-    assert r.order == factorial(3) * factorial(7)
-    assert not r.has_fpf_involution  # both 3 and 7 are odd
-    c = rref([v]).dual()
-    assert paut(c).order == factorial(3) * factorial(7)
+    # dimensions 0, 1, n-1 and n, searched like every other code: the
+    # zero and full codes have S_n, and one word of weight d and its dual
+    # have S_d x S_(n-d)
+    rng = random.Random(71)
+    for n in (4, 6, 8, 10, 12):
+        for c in (LinearCode.zero(n), LinearCode.full(n)):
+            r = paut(c)
+            assert r.order == factorial(n)
+            assert r.has_fpf_involution == (n % 2 == 0)
+            assert r.has_fixed_point_involution
+            assert not r.is_cyclic_of_order_2
+        for d in range(1, n + 1):
+            v = Word(n, sum(1 << i for i in rng.sample(range(n), d)))
+            for c in (rref([v]), rref([v]).dual()):
+                r = paut(c)
+                assert r.order == factorial(d) * factorial(n - d)
+                # both parts must split into transpositions
+                assert r.has_fpf_involution == (d % 2 == 0 and (n - d) % 2 == 0)
+                assert r.has_fixed_point_involution
+                assert r.is_cyclic_of_order_2 == (r.order == 2)
+    assert paut(LinearCode.zero(2)).order == 2
+    assert not paut(LinearCode.zero(2)).has_fixed_point_involution
+
+
+def _block_code(sizes, n, images):
+    # disjoint all-ones blocks of the given sizes, laid out from
+    # coordinate 0 and then moved by the image table
+    rows, start = [], 0
+    for s in sizes:
+        rows.append(sum(1 << images[i] for i in range(start, start + s)))
+        start += s
+    return rref([Word(n, r) for r in rows])
+
+
+def _partitions(m, largest):
+    # partitions of m into parts of at most ``largest``, largest first
+    if m == 0:
+        yield ()
+        return
+    for p in range(min(m, largest), 0, -1):
+        for rest in _partitions(m - p, p):
+            yield (p,) + rest
+
+
+def test_block_codes_match_product_formula():
+    # PAut of disjoint all-ones blocks permutes the points of each block,
+    # the blocks of equal size and the uncovered points, each freely
+    rng = random.Random(73)
+    for n in range(1, 13):
+        for m in range(1, n + 1):
+            for sizes in _partitions(m, m):
+                images = list(range(n))
+                rng.shuffle(images)
+                c = _block_code(sizes, n, images)
+                want = factorial(n - m)
+                for s in set(sizes):
+                    want *= factorial(s) ** sizes.count(s) * factorial(sizes.count(s))
+                assert paut(c).order == want, (n, sizes)
+    ident = list(range(12))
+    assert paut(_block_code((4, 4, 4), 12, ident)).order == 82944
+    assert paut(_block_code((6, 6), 12, ident)).order == 1036800
 
 
 def test_paut_guard():
@@ -419,6 +508,28 @@ def test_stabilizer_chain_against_closure():
             assert chain.contains(g.images)
         outside = Perm(tuple(rng.sample(range(n), n)))
         assert chain.contains(outside.images) == (outside in closure)
+
+
+def test_group_code_equals_element_list_oracle():
+    # the coset-built subgroup search against the search over the full
+    # element list: every code at n <= 6 and 300 seeded codes at n = 7, 8;
+    # each coset holds exactly the listed fixed point free elements that
+    # send 0 to its point
+    codes = [c for n in range(1, 7) for k in range(n + 1) for c in enumerate_subspaces(n, k)]
+    rng = random.Random(79)
+    codes += [rand_code(rng, rng.choice((7, 8))) for _ in range(300)]
+    found = 0
+    for c in codes:
+        elems = list(_automorphism_images(c))
+        want = element_list_is_group_code(elems, c.n)
+        assert is_group_code(c) == want
+        found += want
+        gens, orbits = _base_images(c)
+        firsts = _fixed_point_free_cosets(gens, c.n)
+        for j in orbits[0] - {0}:
+            free = [g for g in elems if g[0] == j and all(x != i for i, x in enumerate(g))]
+            assert sorted(firsts(j)) == free
+    assert found > 100
 
 
 def test_group_code_examples():

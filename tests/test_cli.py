@@ -1,8 +1,24 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pautkit
 from pautkit.cli import main
+
+SRC = str(Path(pautkit.__file__).resolve().parent.parent)
+
+
+def _run_fresh(args):
+    # one call of a fresh interpreter that imports this checkout's package
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 @pytest.fixture
@@ -229,3 +245,48 @@ def test_census_rejects_dimension_out_of_range(k, capsys):
     assert f"dimension {k} out of range" in captured.err
     assert captured.out == ""
     assert main(["census", "--n", "12", "--k", str(k), "--sigma-invariant"]) == 2
+
+
+def _without_elapsed(text):
+    try:
+        data = json.loads(text)
+    except ValueError:
+        return text
+    data.pop("elapsed_ms", None)
+    return data
+
+
+def test_consecutive_calls_equal_separate_processes(tmp_path, capsys):
+    # main builds its parser once per process; calls made one after the
+    # other in one process must print and exit as fresh processes do
+    path = tmp_path / "p34.code"
+    path.write_text("0010\n1100\n")
+    calls = [
+        ["analyze", str(path), "--output", "json"],
+        ["analyze", str(path)],
+        ["verify", "prop-3.4", "--output", "json"],
+        ["verify", "prop-3.4", "--n", "four"],
+        ["analyze", str(path), "--output", "json"],
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        in_process.append((rc, _without_elapsed(captured.out), captured.err))
+    assert [rc for rc, _, _ in in_process] == [0, 0, 0, 2, 0]
+    assert in_process[0] == in_process[-1]
+    for argv, got in zip(calls, in_process):
+        proc = _run_fresh(["-m", "pautkit", *argv])
+        assert got == (proc.returncode, _without_elapsed(proc.stdout), proc.stderr)
+
+
+def test_import_leaves_multiprocessing_out():
+    # only a parallel conjecture scan imports multiprocessing
+    proc = _run_fresh(
+        ["-c", "import sys, pautkit, pautkit.cli; print('multiprocessing' in sys.modules)"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
