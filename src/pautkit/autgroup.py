@@ -725,7 +725,7 @@ def _block_entry(n: int, u_rows: Sequence[int], fc_rows: Sequence[int]) -> tuple
     those 3n/2 bits, bit a*i + j is c_ij, where pi(u_i) = sum_j c_ij u_j
     and a = dim U.  An entry is kept in ``_blocks`` while it holds
     fewer than BLOCK_CAP of them; the key packs n, the U rows and the
-    F_C rows into one int like ``census._complement_of``.
+    F_C rows into one int like ``census._subspace``.
     """
     key = 1 << LENGTH_GUARD | n
     for row in u_rows:

@@ -13,19 +13,35 @@ of C with the fixed space of b (so U <= F_C), and L maps a canonical
 basis of U into a canonical complement of F_C inside the fixed space.
 Each triple is rebuilt into C by lifting every basis vector x of U to
 the unique preimage supported on the first coordinates of the 2-cycles,
-shifted by L(x).
+shifted by L(x).  The codes that share (U, F_C) form a block; in the
+band dim U = a, a block holds 2^(a t) codes, t = codim F_C.
 
-The walk needs two complements per position: one of U, which the F_C
-are counted in, and one of F_C, which the twists map into.  Both are
-subspaces of the fixed space, which has few (2825 at n = 12 under the
-pairing), so each complement is computed once per process and kept in a
-module-level table keyed by the fixed-space basis and the subspace rows.
-The table stops growing at ``COMPLEMENT_CAP`` entries; past the cap a
-complement is computed and not stored.
+A sparse shard enters a new block at almost every position, so the
+walker builds each block once per process and keeps it in two tables:
+
+* the subspace table, one entry per subspace of the fixed space met so
+  far: its reduced rows and the complement the walker counts in (for
+  U, the quotient the F_C are counted in; for F_C, the twist basis),
+  with the words and the equal complements stored once;
+* the columns, one ``array('H')`` per band (dim U, dim F_C) of the
+  fixed space: the subspace id of F_C per block rank.  The band
+  (a, a) holds U = F_C, so its column doubles as U's id per U rank.
+
+A revisited block then costs two array reads.  At n = 12 under the
+pairing the table holds the 2825 subspaces of the 6-dimensional fixed
+space, and the columns of k = 5..7 the ids of 65320 blocks (13412 of
+them with a U that meets every pair, 1430 of those left open by the
+cheap witness rungs); filled, both take 0.62 MB (tracemalloc, Python
+3.11), and the columns 0.13 MB of it.  A table or band
+larger than ``TABLE_CAP`` entries is walked without storing: past the
+cap a subspace and its complement are computed at each visit.  The
+columns of one fixed space are kept at a time, so their memory is
+bounded too.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,16 +54,23 @@ from .perm import Perm, canonical_sigma, is_involution
 
 LENGTH_GUARD = 12
 COUNT_GUARD = 10**9
-# Most entries the complement table holds: above the 2825 subspaces of
-# the pairing's fixed space at n = 12, and a bound on its memory for an
-# involution with a larger fixed space.
-COMPLEMENT_CAP = 4096
+# Most entries the subspace table holds, and the longest column stored:
+# above the 2825 subspaces of the pairing's fixed space at n = 12 and
+# its largest band (22785 blocks at k = 6), and below NO_ID.
+TABLE_CAP = 24576
+# A column entry whose subspace id is not known yet.
+NO_ID = 0xFFFF
 
-# Complement of a subspace of a fixed space, by the key of _complement_of.
-# Equal complements are stored as one tuple, the one kept in
-# _complement_values, which grows only with the table.
-_complements: dict[int, tuple[int, ...]] = {}
+# The subspace table: ids by space key and reduced rows, and the rows
+# and the complement by id.  Words and equal complements are stored
+# once, in _words and _complement_values.
+_subspace_ids: dict[int, dict[tuple[int, ...], int]] = {}
+_rows_by_id: list[tuple[int, ...]] = []
+_complement_by_id: list[tuple[int, ...]] = []
+_words: dict[int, int] = {}
 _complement_values: dict[tuple[int, ...], tuple[int, ...]] = {}
+# Columns of subspace ids by (space key, dim U, dim F_C), all of one space.
+_columns: dict[tuple[int, int, int], array] = {}
 
 
 def gaussian_binomial(n: int, k: int) -> int:
@@ -64,19 +87,27 @@ def gaussian_binomial(n: int, k: int) -> int:
 def invariant_subspace_count(n: int, k: int, involution: Perm) -> int:
     """Number of k-dimensional subspaces invariant under the involution."""
     cycles, fixed = _cycles_and_fixed(n, involution)
-    r = len(cycles)
-    d_fix = r + len(fixed)
-    total = 0
+    d_fix = len(cycles) + len(fixed)
+    return sum(
+        n_u * n_s << a * (d_fix - f) for a, f, n_u, n_s in _bands(len(cycles), d_fix, k)
+    )
+
+
+def _block_count(n: int, k: int, involution: Perm) -> int:
+    """Number of blocks (U, F_C) of the k-dimensional invariant census;
+    the block ordinals of ``_invariant_positions`` run below it."""
+    cycles, fixed = _cycles_and_fixed(n, involution)
+    return sum(n_u * n_s for _a, _f, n_u, n_s in _bands(len(cycles), len(cycles) + len(fixed), k))
+
+
+def _bands(r: int, d_fix: int, k: int) -> Iterator[tuple[int, int, int, int]]:
+    """(a, f, n_u, n_s) per band dim U = a of the k-dimensional census of
+    an involution with r 2-cycles and a d_fix-dimensional fixed space:
+    f = dim F_C, n_u choices of U and n_s of F_C per U."""
     for a in range(0, min(r, k // 2) + 1):
         f = k - a
-        if f > d_fix:
-            continue
-        total += (
-            gaussian_binomial(r, a)
-            * gaussian_binomial(d_fix - a, f - a)
-            * (1 << (a * (d_fix - f)))
-        )
-    return total
+        if f <= d_fix:
+            yield a, f, gaussian_binomial(r, a), gaussian_binomial(d_fix - a, f - a)
 
 
 def sigma_invariant_count(n: int, k: int) -> int:
@@ -175,10 +206,10 @@ def _complement_in(space_basis: Sequence[int], sub_rows: Sequence[int]) -> tuple
 
     ``sub_rows`` must already be a reduced basis in the convention of
     ``gf2._insert``; the walker passes one for both of its subspaces (F_C
-    rows from ``_rref_ints``, and U rows spanned by an echelon form over
+    rows from ``_insert``, and U rows spanned by an echelon form over
     the 2-cycle vectors, whose lowest bits increase with the cycle), so
-    it is taken as given.  The walker asks through the complement table,
-    ``_complement_of``, which calls this once per subspace.
+    it is taken as given.  The walker asks through the subspace table,
+    ``_subspace``, which calls this once per subspace.
     """
     basis = list(sub_rows)
     comp = []
@@ -200,28 +231,58 @@ def _space_key(space_basis: Sequence[int]) -> int:
     return key << LENGTH_GUARD
 
 
-def _complement_of(
+def _subspace(
     space_key: int, space_basis: Sequence[int], sub_rows: Sequence[int]
-) -> tuple[int, ...]:
-    """``_complement_in(space_basis, sub_rows)`` through the complement
-    table; ``space_key`` is ``_space_key(space_basis)``.
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The id, the rows and the complement ``_complement_in(space_basis,
+    sub_rows)`` of a subspace in the subspace table; ``sub_rows`` is its
+    reduced basis and ``space_key`` is ``_space_key(space_basis)``.
 
-    The key appends the subspace rows, also in LENGTH_GUARD-bit fields,
-    so one int names the pair; every vector fits its field because the
-    walker refuses lengths above LENGTH_GUARD.  A complement is stored
-    only while the table holds fewer than COMPLEMENT_CAP entries, so an
-    involution with a larger fixed space gets the same answers without
-    growing the table.
+    A new subspace is stored only while the table holds fewer than
+    TABLE_CAP entries; past the cap its rows and complement are computed
+    and its id is NO_ID.
     """
-    key = space_key
-    for row in sub_rows:
-        key = key << LENGTH_GUARD | row
-    comp = _complements.get(key)
-    if comp is None:
-        comp = _complement_in(space_basis, sub_rows)
-        if len(_complements) < COMPLEMENT_CAP:
-            _complements[key] = comp = _complement_values.setdefault(comp, comp)
-    return comp
+    rows = tuple(sub_rows)
+    ids = _subspace_ids.get(space_key)
+    sid = ids.get(rows) if ids else None
+    if sid is not None:
+        return sid, _rows_by_id[sid], _complement_by_id[sid]
+    rows = tuple([_words.setdefault(w, w) for w in rows])
+    comp = tuple([_words.setdefault(w, w) for w in _complement_in(space_basis, rows)])
+    comp = _complement_values.setdefault(comp, comp)
+    if len(_rows_by_id) >= TABLE_CAP:
+        return NO_ID, rows, comp
+    sid = len(_rows_by_id)
+    _subspace_ids.setdefault(space_key, {})[rows] = sid
+    _rows_by_id.append(rows)
+    _complement_by_id.append(comp)
+    return sid, rows, comp
+
+
+class _Unstored:
+    """The column of a band longer than TABLE_CAP: nothing is stored."""
+
+    def __getitem__(self, rank: int) -> int:
+        return NO_ID
+
+    def __setitem__(self, rank: int, sid: int) -> None:
+        pass
+
+
+def _column(space_key: int, a: int, f: int, size: int) -> array | _Unstored:
+    """The column of subspace ids of the band (dim U = a, dim F_C = f) of
+    a fixed space, one entry per block rank, NO_ID until the block is
+    first met.  Columns of an earlier space are dropped when a new space
+    gets one, and a band of more than TABLE_CAP blocks gets none."""
+    if size > TABLE_CAP:
+        return _Unstored()
+    key = (space_key, a, f)
+    col = _columns.get(key)
+    if col is None:
+        if _columns and next(iter(_columns))[0] != space_key:
+            _columns.clear()
+        col = _columns[key] = array("H", [NO_ID]) * size
+    return col
 
 
 def enumerate_invariant(n: int, k: int, involution: Perm) -> Iterator[LinearCode]:
@@ -241,31 +302,32 @@ def _invariant_range(
     """Stream positions start, start+step, ... of the invariant census,
     as the codes spanned by the F_C rows and the twist rows of
     ``_invariant_positions``."""
-    for _u_rows, fc_rows, wrows in _invariant_positions(n, k, involution, start, step):
+    for _block, _u_rows, fc_rows, wrows in _invariant_positions(n, k, involution, start, step):
         yield LinearCode(n, _rref_ints(fc_rows + wrows))
 
 
 def _invariant_positions(
     n: int, k: int, involution: Perm, start: int, step: int
-) -> Iterator[tuple[list[int], tuple[int, ...], tuple[int, ...]]]:
-    """The (U rows, F_C rows, twist rows) of positions start, start+step,
-    ... of the invariant census; the code at a position is spanned by its
-    F_C rows and its twist rows.
+) -> Iterator[tuple[int, list[int], tuple[int, ...], tuple[int, ...]]]:
+    """The (block ordinal, U rows, F_C rows, twist rows) of positions
+    start, start+step, ... of the invariant census; the code at a
+    position is spanned by its F_C rows and its twist rows.
 
     The stream walks U, then F_C, then the twist matrix L as a binary
     counter.  In the band dim U = a, position (iU*n_S + iS)*2^(a*t) + L of
-    the band holds the iU-th U, its iS-th F_C (of n_S) and twist L.
-    Each selected position is addressed by rank, with U and F_C rebuilt
-    only when they change, so a shard costs only the codes it yields.
-    A sparse shard changes block at almost every position, so U's
-    quotient (the complement the F_C are counted in) and F_C's twist
-    basis are not recomputed per block: both come from the complement
-    table (``_complement_of``), which computes each subspace's
-    complement once per process.  When F_C = U the two lookups share
-    one entry.
+    the band holds the iU-th U, its iS-th F_C (of n_S) and twist L; the
+    block ordinal numbers the blocks (U, F_C) in stream order, from 0
+    below ``_block_count``.  Each selected position is addressed by
+    rank, so a shard costs only the codes it yields.  A block met before
+    in this process is read from the columns and the subspace table
+    (see the module docstring): the id of U by U's rank, the id of F_C
+    by the block's rank, each a reduced basis plus its complement.  A
+    block met for the first time is built and stored: U spanned by an
+    echelon form over the 2-cycle vectors, and F_C by the reduced U rows
+    and an echelon form over U's quotient.
     The U rows are a basis of U = (id + involution)C and the F_C rows are
     the reduced basis of C intersected with the fixed space; both are
-    the same objects for as long as the block (U, F_C) does not change.
+    the same objects for as long as the block does not change.
     """
     if not 0 <= k <= n:
         raise InvalidInput(f"dimension {k} out of range for length {n}")
@@ -281,34 +343,41 @@ def _invariant_positions(
     f_key = _space_key(f_basis)
     r = len(pairvecs)
     d_fix = len(f_basis)
-    pos = 0
-    for a in range(0, min(r, k // 2) + 1):
-        f = k - a
-        if f > d_fix:
-            continue
+    pos = ordinal = 0
+    for a, f, n_u, n_s in _bands(r, d_fix, k):
         t = d_fix - f
         block = 1 << (a * t)
-        n_s = gaussian_binomial(d_fix - a, f - a)
-        end = pos + gaussian_binomial(r, a) * n_s * block
+        end = pos + n_u * n_s * block
         first = max(start, start - (start - pos) // step * step)
+        u_col = _column(f_key, a, a, n_u)
+        fc_col = _column(f_key, a, f, n_u * n_s)
         u_at = fc_at = None
         for idx in range(first, end, step):
             at, lval = divmod(idx - pos, block)
             if at != fc_at:
                 i_u, i_s = divmod(at, n_s)
                 if i_u != u_at:
-                    u_rows = _span_rows(pairvecs, _echelon_at(r, a, i_u))
-                    quotient = _complement_of(f_key, f_basis, u_rows)
-                    lifts = [x & half for x in u_rows]
+                    sid = u_col[i_u]
+                    if sid == NO_ID:
+                        u_basis = _span_rows(pairvecs, _echelon_at(r, a, i_u))
+                        sid, u_basis, quotient = _subspace(f_key, f_basis, u_basis)
+                        u_col[i_u] = sid
+                    else:
+                        u_basis, quotient = _rows_by_id[sid], _complement_by_id[sid]
+                    u_rows = list(u_basis)
+                    lifts = [x & half for x in u_basis]
                     u_at = i_u
-                s_rows = _span_rows(quotient, _echelon_at(d_fix - a, f - a, i_s))
-                # the U rows are reduced already, so only the s rows go in
-                fc_basis = list(u_rows)
-                for row in s_rows:
-                    fc_basis = _insert(fc_basis, row)
-                fc_basis.sort(key=lambda r: r & -r)
-                fc_rows = tuple(fc_basis)
-                rbasis = _complement_of(f_key, f_basis, fc_rows)
+                sid = fc_col[at]
+                if sid == NO_ID:
+                    # the U rows are reduced already, so only the s rows go in
+                    fc_basis = u_rows
+                    for row in _span_rows(quotient, _echelon_at(d_fix - a, f - a, i_s)):
+                        fc_basis = _insert(fc_basis, row)
+                    fc_basis = sorted(fc_basis, key=lambda r: r & -r)
+                    sid, fc_rows, rbasis = _subspace(f_key, f_basis, fc_basis)
+                    fc_col[at] = sid
+                else:
+                    fc_rows, rbasis = _rows_by_id[sid], _complement_by_id[sid]
                 fc_at = at
             wrows = []
             for lift in lifts:
@@ -318,8 +387,9 @@ def _invariant_positions(
                         add ^= rbasis[j]
                     lval >>= 1
                 wrows.append(lift ^ add)
-            yield u_rows, fc_rows, tuple(wrows)
+            yield ordinal + at, u_rows, fc_rows, tuple(wrows)
         pos = end
+        ordinal += n_u * n_s
 
 
 @dataclass(frozen=True, slots=True)

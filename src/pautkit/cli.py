@@ -32,6 +32,11 @@ EXIT_USAGE = 2
 EXIT_TOO_LARGE = 3
 EXIT_HYPOTHESIS = 4
 
+# Longest length for census counts: from n = 240 the middle counts have
+# more digits than Python converts to a string by default, and 238 is
+# the longest even length below that, so both flavours print.
+CENSUS_LENGTH_GUARD = 238
+
 
 def _parse_slice(text: str) -> tuple[int, int]:
     try:
@@ -191,6 +196,8 @@ def cmd_witness(args) -> int:
 def cmd_census(args) -> int:
     if args.n < 0:
         raise InvalidInput(f"negative length {args.n}")
+    if args.n > CENSUS_LENGTH_GUARD:
+        raise TooLarge(f"census counts limited to length {CENSUS_LENGTH_GUARD}")
     if args.k is not None and not 0 <= args.k <= args.n:
         raise InvalidInput(f"dimension {args.k} out of range for length {args.n}")
     ks = [args.k] if args.k is not None else list(range(0, args.n + 1))

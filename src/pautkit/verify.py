@@ -33,6 +33,7 @@ from .autgroup import (
     _other_pairing_involution,
 )
 from .census import (
+    _block_count,
     _invariant_positions,
     enumerate_invariant,
     enumerate_sigma_invariant,
@@ -61,6 +62,12 @@ from .perm import (
 
 CONJECTURE_LENGTH_GUARD = 12
 _JOURNAL_UNITS = 16
+
+# The verdict of the cheap rungs on each census block of the pairing,
+# one byte per block ordinal, by (n, k); a block is UNKNOWN until a
+# scan of this process first meets it.
+UNKNOWN, SETTLED, OPEN = 0, 1, 2
+_verdicts: dict[tuple[int, int], bytearray] = {}
 
 
 @dataclass(frozen=True)
@@ -435,47 +442,60 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dic
 
     The unit's codes sit at stream positions sidx + (unit + m*units)*stotal,
     an arithmetic progression; the position walker addresses each of them
-    by rank, so the unit builds only its own codes.  The cheap rungs of
-    the witness ladder are decided once per (U, F_C) block of the census:
-    the complement rung (``fixed._block_free_pairs``) exits when U misses
-    a pair, and otherwise ``fixed._block_alpha_x`` decides the alpha-x
-    rung, as ``fixed._block_settled`` does.  In a block they leave open,
-    test (a) of ``autgroup._group_is_pairing`` is decided per code from
-    the block's entry (``autgroup._block_entry``, computed once per
-    process) by ``autgroup._centraliser_fixes``, and only the codes that
-    pass it are built and searched by test (b),
-    ``autgroup._other_pairing_involution``; this gives the same outcome
-    as ``pairing_group_is_everything`` on every code.  Every code is still
-    checked on its generator rows: the F_C rows must be fixed by sigma
-    and each twist row w must have w + w^sigma in F_C, and the complement
-    witness, the pair product over the pairs U misses, must fix each
-    twist row, that is each twist row reads equal bits on those pairs.
+    by rank, so the unit builds only its own codes, and a block it met
+    before costs two table reads.  The cheap rungs of the witness ladder
+    are decided once per (U, F_C) block of the census per process, and
+    the verdict is kept in ``_verdicts`` by the block ordinal: the
+    complement rung (``fixed._block_free_pairs``) settles the block when
+    U misses a pair, and otherwise ``fixed._block_alpha_x`` decides the
+    alpha-x rung, as ``fixed._block_settled`` does.  At n = 12 that is
+    65320 bytes for k = 5..7, 13412 blocks need the alpha-x rung and
+    1430 stay open.  In an open block, test (a) of
+    ``autgroup._group_is_pairing`` is decided per code from the block's
+    entry (``autgroup._block_entry``, computed once per process) by
+    ``autgroup._centraliser_fixes``, and only the codes that pass it are
+    built and searched by test (b), ``autgroup._other_pairing_involution``;
+    this gives the same outcome as ``pairing_group_is_everything`` on
+    every code.  Every code is still checked on its generator rows: the
+    F_C rows must be fixed by sigma and each twist row w must have
+    w + w^sigma in F_C, and the complement witness, the pair product over
+    the pairs U misses (the mask of ``_block_free_pairs``, taken at each
+    change of block), must fix each twist row, that is each twist row
+    reads equal bits on those pairs.
     """
     n, k, unit, units, sidx, stotal = args
     sigma = canonical_sigma(n)
+    verdicts = _verdicts.get((n, k))
+    if verdicts is None:
+        verdicts = _verdicts[n, k] = bytearray(_block_count(n, k, sigma))
     # sigma swaps the two bits of every pair (2p, 2p+1)
     low_bits = int("01" * (n // 2), 2)
     scanned = 0
     ces: list[dict] = []
-    block = None
-    for u_rows, fc_rows, wrows in _invariant_positions(
+    block = -1
+    for ordinal, u_rows, fc_rows, wrows in _invariant_positions(
         n, k, sigma, sidx + unit * stotal, units * stotal
     ):
         scanned += 1
-        if fc_rows is not block:
-            block = fc_rows
-            if any((x ^ x >> 1) & low_bits for x in fc_rows):
-                raise NotInvariant("code is not invariant under the pairing involution")
+        if ordinal != block:
+            block = ordinal
+            for x in fc_rows:
+                if (x ^ x >> 1) & low_bits:
+                    raise NotInvariant("code is not invariant under the pairing involution")
             free = _block_free_pairs(n, u_rows)
-            settled = bool(free) or _block_alpha_x(n, u_rows, fc_rows)
-            if not settled:
+            verdict = verdicts[ordinal]
+            if verdict == UNKNOWN:
+                settled = bool(free) or _block_alpha_x(n, u_rows, fc_rows)
+                verdict = verdicts[ordinal] = SETTLED if settled else OPEN
+            if verdict == OPEN:
                 entry = _block_entry(n, u_rows, fc_rows)
         for w in wrows:
             if _reduce(fc_rows, w ^ ((w & low_bits) << 1 | (w >> 1) & low_bits)):
                 raise NotInvariant("code is not invariant under the pairing involution")
-        if settled:
-            if any((w ^ w >> 1) & free for w in wrows):
+            # free is 0 unless the complement rung settled the block
+            if (w ^ w >> 1) & free:
                 raise RuntimeError("fixed point witness failed validation")
+        if verdict == SETTLED:
             continue
         if _centraliser_fixes(entry, n, fc_rows, wrows):
             continue

@@ -428,7 +428,7 @@ def _open_length12_positions():
         index: [
             (u_rows, fc_rows, wrows)
             for k in (5, 6, 7)
-            for u_rows, fc_rows, wrows in _invariant_positions(12, k, sigma, index, 100)
+            for _block, u_rows, fc_rows, wrows in _invariant_positions(12, k, sigma, index, 100)
             if not _block_settled(12, u_rows, fc_rows)
         ]
         for index in (0, 37)

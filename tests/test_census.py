@@ -1,4 +1,5 @@
 import hashlib
+from itertools import islice
 
 import pytest
 
@@ -18,13 +19,15 @@ from pautkit import (
 )
 from pautkit import census
 from pautkit.census import (
-    COMPLEMENT_CAP,
+    NO_ID,
+    TABLE_CAP,
+    _block_count,
     _complement_in,
-    _complement_of,
     _echelon_forms,
     _invariant_positions,
     _space_key,
     _span_rows,
+    _subspace,
 )
 from pautkit.gf2 import _rref_ints
 from pautkit.perm import canonical_sigma, image_code
@@ -271,8 +274,7 @@ def _all_subspace_rows(basis):
     ]
 
 
-def test_complement_table_equals_direct_computation(monkeypatch):
-    monkeypatch.setattr(census, "_complements", {})
+def test_subspace_table_equals_direct_computation(cold_census_tables):
     spaces = [(n, canonical_sigma(n)) for n in (2, 4, 6, 8)]
     spaces.append((6, Perm.from_cycles("(1,2)(3,4)", 6)))
     for n, involution in spaces:
@@ -282,44 +284,91 @@ def test_complement_table_equals_direct_computation(monkeypatch):
                 pass
         basis = _fixed_space_basis(n, involution)
         key = _space_key(basis)
-        subspaces = _all_subspace_rows(basis)
-        for rows in subspaces:
-            assert _complement_of(key, basis, rows) == _complement_in(basis, rows)
-    # one entry per subspace: no two (space, subspace) pairs share a key
-    assert len(census._complements) == sum(
+        filled = len(census._rows_by_id)
+        for rows in _all_subspace_rows(basis):
+            sid, got_rows, comp = _subspace(key, basis, rows)
+            assert sid != NO_ID and got_rows == rows
+            assert comp == census._complement_by_id[sid] == _complement_in(basis, rows)
+        assert len(census._rows_by_id) == filled
+    # one entry per subspace: no two (space, subspace) pairs share an id
+    assert len(census._rows_by_id) == sum(
         len(_all_subspace_rows(_fixed_space_basis(n, inv))) for n, inv in spaces
     )
 
 
-def test_n12_positions_are_frozen_and_table_stays_small(monkeypatch):
+def test_block_ordinals_number_the_blocks(cold_census_tables):
+    beta = Perm.from_cycles("(1,2)(3,4)", 6)
+    for n, k, involution in ((8, 4, canonical_sigma(8)), (8, 5, canonical_sigma(8)), (6, 3, beta)):
+        blocks = {}
+        last = -1
+        for ordinal, u_rows, fc_rows, _w in _invariant_positions(n, k, involution, 0, 1):
+            # ordinals rise through the stream, one per (U, F_C)
+            assert ordinal >= last
+            last = ordinal
+            block = (tuple(u_rows), fc_rows)
+            assert blocks.setdefault(ordinal, block) == block
+        assert sorted(blocks) == list(range(_block_count(n, k, involution)))
+        assert len(set(blocks.values())) == len(blocks)
+        # a sparse, warm walk reads the same blocks from the columns
+        for ordinal, u_rows, fc_rows, _w in _invariant_positions(n, k, involution, 3, 7):
+            assert blocks[ordinal] == (tuple(u_rows), fc_rows)
+
+
+def test_n12_positions_are_frozen_and_table_stays_small(cold_census_tables):
     # sha256 over repr((u_rows, fc_rows, wrows)) of every position of
     # slice 0/100, recorded before U's quotient and F_C's twist basis
-    # were taken from the complement table
-    monkeypatch.setattr(census, "_complements", {})
-    h = hashlib.sha256()
-    for k in (5, 6, 7):
-        for u_rows, fc_rows, wrows in _invariant_positions(12, k, canonical_sigma(12), 0, 100):
-            h.update(repr((u_rows, fc_rows, wrows)).encode())
-    assert h.hexdigest() == "cd8ba44eea4213066d34715d431f74a9339cc5c8e5a319df60ad942eb88079fa"
+    # were taken from a table
+    sigma = canonical_sigma(12)
+    for _pass in range(2):
+        # cold, then warm from the columns
+        h = hashlib.sha256()
+        for k in (5, 6, 7):
+            for _b, u_rows, fc_rows, wrows in _invariant_positions(12, k, sigma, 0, 100):
+                h.update(repr((u_rows, fc_rows, wrows)).encode())
+        assert h.hexdigest() == "cd8ba44eea4213066d34715d431f74a9339cc5c8e5a319df60ad942eb88079fa"
     # at most one entry per subspace of the 6-dimensional fixed space
-    assert 0 < len(census._complements) <= 2825
+    assert 0 < len(census._rows_by_id) <= 2825
+    # one column per band of k = 5..7, the k = 6 band a = 2 the longest
+    assert max(len(c) for c in census._columns.values()) == 22785 <= TABLE_CAP
 
 
-def test_complement_table_stops_at_its_cap(monkeypatch):
+def test_subspace_table_stops_at_its_cap(cold_census_tables):
     # (1,2) at n = 8 has a 7-dimensional fixed space with 29212 subspaces
-    monkeypatch.setattr(census, "_complements", {})
     beta = Perm.from_cycles("(1,2)", 8)
     for k in range(9):
         codes = {
             LinearCode(8, _rref_ints(fc_rows + wrows))
-            for _u, fc_rows, wrows in _invariant_positions(8, k, beta, 0, 1)
+            for _b, _u, fc_rows, wrows in _invariant_positions(8, k, beta, 0, 1)
         }
         assert len(codes) == invariant_subspace_count(8, k, beta)
         assert all(image_code(c, beta) == c for c in codes)
-    assert len(census._complements) == COMPLEMENT_CAP
+    assert len(census._rows_by_id) == TABLE_CAP
     # past the cap a complement is still computed, just not stored
     basis = _fixed_space_basis(8, beta)
     key = _space_key(basis)
+    unstored = 0
     for rows in _all_subspace_rows(basis):
-        assert _complement_of(key, basis, rows) == _complement_in(basis, rows)
-    assert len(census._complements) == COMPLEMENT_CAP
+        sid, _rows, comp = _subspace(key, basis, rows)
+        assert comp == _complement_in(basis, rows)
+        unstored += sid == NO_ID
+    assert unstored == 29212 - TABLE_CAP
+    assert len(census._rows_by_id) == TABLE_CAP
+
+
+def test_long_band_allocates_no_column(cold_census_tables):
+    # (1,2) at n = 12: the k = 6 band a = 0 has 3548836819 blocks, one
+    # per F_C, far past the cap, so it is walked without a column
+    for _ in islice(_invariant_positions(12, 6, canonical_sigma(12), 0, 100), 50):
+        pass
+    beta = Perm.from_cycles("(1,2)", 12)
+    assert _block_count(12, 6, beta) > 3548836819
+    positions = list(islice(_invariant_positions(12, 6, beta, 0, 1), 50))
+    assert [p[0] for p in positions] == list(range(50))
+    for _b, _u, fc_rows, wrows in positions:
+        code = LinearCode(12, _rref_ints(fc_rows + wrows))
+        assert image_code(code, beta) == code
+    assert all(len(c) <= TABLE_CAP for c in census._columns.values())
+    # the pairing's columns went when the walk moved to another space
+    assert {space for space, _a, _f in census._columns} == {
+        _space_key(_fixed_space_basis(12, beta))
+    }

@@ -229,6 +229,24 @@ def test_census_rejects_negative_length(capsys):
     assert main(["census", "--n", "-3", "--sigma-invariant"]) == 2
 
 
+def test_census_length_guard(capsys):
+    # every count prints at the guard; just above it the census exits 3
+    # rather than failing to print its counts
+    from pautkit.cli import CENSUS_LENGTH_GUARD
+
+    assert CENSUS_LENGTH_GUARD == 238
+    assert main(["census", "--n", "238", "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"]["119"] > 0
+    assert main(["census", "--n", "238", "--sigma-invariant"]) == 0
+    assert "total:" in capsys.readouterr().out
+    too_long = (["--n", "239"], ["--n", "240", "--output", "json"], ["--n", "100000", "--k", "3"])
+    for argv in too_long:
+        assert main(["census", *argv]) == 3
+        captured = capsys.readouterr()
+        assert "census counts limited to length 238" in captured.err
+        assert captured.out == ""
+
+
 def test_json_outputs_are_byte_stable_modulo_elapsed(capsys):
     main(["verify", "prop-3.4", "--output", "json"])
     first = json.loads(capsys.readouterr().out)

@@ -489,6 +489,38 @@ def test_length12_slice_outcome():
     assert {c.code.k for c in report.counterexamples} == {6}
 
 
+def test_block_verdicts_are_the_block_rungs(cold_census_tables, monkeypatch):
+    # n = 10 and two n = 12 slices in one process, from cold tables: each
+    # stored verdict must be the block's cheap-rung outcome, and a block
+    # no scan met must still be unknown
+    from pautkit import verify
+    from pautkit.census import _invariant_positions
+    from pautkit.fixed import _block_settled
+
+    monkeypatch.setattr(verify, "_verdicts", {})
+    assert conjecture_search(10).scanned == 18291
+    assert conjecture_search(12, slice_=(0, 100)).scanned == 24110
+    cold = conjecture_search(12, slice_=(37, 100)).to_dict()
+    assert (cold["scanned"], len(cold["counterexamples"])) == (24109, 493)
+    assert sorted(verify._verdicts) == [(10, 5), (12, 5), (12, 6), (12, 7)]
+    for (n, k), verdicts in verify._verdicts.items():
+        met = {}
+        for index, total in ((0, 1),) if n == 10 else ((0, 100), (37, 100)):
+            for ordinal, u_rows, fc_rows, _w in _invariant_positions(
+                n, k, canonical_sigma(n), index, total
+            ):
+                met.setdefault(ordinal, (u_rows, fc_rows))
+        for ordinal, (u_rows, fc_rows) in met.items():
+            settled = _block_settled(n, u_rows, fc_rows)
+            assert verdicts[ordinal] == (verify.SETTLED if settled else verify.OPEN)
+        assert len(verdicts) - verdicts.count(verify.UNKNOWN) == len(met)
+    # a warm scan reads the verdicts and the columns, with the same report
+    warm = conjecture_search(12, slice_=(37, 100)).to_dict()
+    cold.pop("elapsed_ms")
+    warm.pop("elapsed_ms")
+    assert warm == cold
+
+
 @pytest.mark.slow
 def test_length12_full_scan_totals():
     """Reproduces the full length-12 scan: 2410873 invariant codes at
