@@ -87,10 +87,12 @@ per block, whatever pi.  For pi = id, d = 0, and the flips that fix C
 form the kernel of the flip map, which always holds the empty set (the
 identity) and all pairs (sigma).  So (a) holds exactly when that kernel
 has no other element and no pi in K other than the identity has d mod
-F_C in W.  ``_block_entry`` computes the kernel, W and K (from
-``_automorphism_images`` of U as a code of length n/2, filtered by F_C)
-once per block (U, F_C) and keeps them in a table, and
-``_centraliser_fixes`` then costs a few reductions per element of K.
+F_C in W.  ``_block_entry`` computes the kernel, W and K of a block (U,
+F_C) (from ``_automorphism_images`` of U as a code of length n/2,
+filtered by F_C) and keeps nothing; the census scan stores it in the
+block's record (``verify._scan_unit``), so it runs once per open block
+per process, and ``_centraliser_fixes`` then costs a few reductions per
+element of K.
 
 Why (a) and (b) are exact: let G = PAut(C), with sigma in G.  If (a)
 holds, the centraliser of sigma in G is <sigma>, so <sigma> is a Sylow
@@ -667,19 +669,6 @@ def _cycle_automorphisms(
         used[0] = False
 
 
-# Most entries the block table holds: above the 1430 census blocks of
-# n = 12 that the cheap rungs leave open, and a bound on its memory when
-# _group_is_pairing meets the blocks of many more codes.
-BLOCK_CAP = 2048
-
-# Test (a) for every code of a census block, by the key of _block_entry.
-# Equal entries are stored as one tuple, the one kept in _block_values
-# (659 distinct among the 1430 open blocks of n = 12), which grows only
-# with the table.
-_blocks: dict[int, tuple] = {}
-_block_values: dict[tuple, tuple] = {}
-
-
 def _pair_flip_map(
     n: int, u_rows: Sequence[int], fc_rows: Sequence[int], xs: Sequence[int]
 ) -> tuple[list[int], list[int]]:
@@ -723,26 +712,9 @@ def _block_entry(n: int, u_rows: Sequence[int], fc_rows: Sequence[int]) -> tuple
     over all pairs, and each move packs one pi in K minus the identity:
     pi^-1 sends pair q to pair (move >> 3q) & 7 for q < n/2, and above
     those 3n/2 bits, bit a*i + j is c_ij, where pi(u_i) = sum_j c_ij u_j
-    and a = dim U.  An entry is kept in ``_blocks`` while it holds
-    fewer than BLOCK_CAP of them; the key packs n, the U rows and the
-    F_C rows into one int like ``census._subspace``.
+    and a = dim U.  Each call computes the entry afresh; the census scan
+    keeps it in the block's record.
     """
-    key = 1 << LENGTH_GUARD | n
-    for row in u_rows:
-        key = key << LENGTH_GUARD | row
-    key <<= LENGTH_GUARD
-    for row in fc_rows:
-        key = key << LENGTH_GUARD | row
-    entry = _blocks.get(key)
-    if entry is None:
-        entry = _new_block_entry(n, u_rows, fc_rows)
-        if len(_blocks) < BLOCK_CAP:
-            _blocks[key] = entry = _block_values.setdefault(entry, entry)
-    return entry
-
-
-def _new_block_entry(n: int, u_rows: Sequence[int], fc_rows: Sequence[int]) -> tuple:
-    # the entry of _block_entry, computed
     m, a = n // 2, len(u_rows)
     kernel, wbasis = _pair_flip_map(n, u_rows, fc_rows, [3 << 2 * p for p in range(m)])
     # the all-ones flip, sigma, is always in the kernel

@@ -27,6 +27,8 @@ walker builds each block once per process and keeps it in two tables:
   fixed space: the subspace id of F_C per block rank.  The band
   (a, a) holds U = F_C, so its column doubles as U's id per U rank.
 
+Both are keyed by tuples of the rows themselves (the fixed space's
+basis, the subspace's reduced rows), so no key depends on the length.
 A revisited block then costs two array reads.  At n = 12 under the
 pairing the table holds the 2825 subspaces of the 6-dimensional fixed
 space, and the columns of k = 5..7 the ids of 65320 blocks (13412 of
@@ -61,16 +63,16 @@ TABLE_CAP = 24576
 # A column entry whose subspace id is not known yet.
 NO_ID = 0xFFFF
 
-# The subspace table: ids by space key and reduced rows, and the rows
+# The subspace table: ids by space basis and reduced rows, and the rows
 # and the complement by id.  Words and equal complements are stored
 # once, in _words and _complement_values.
-_subspace_ids: dict[int, dict[tuple[int, ...], int]] = {}
+_subspace_ids: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 _rows_by_id: list[tuple[int, ...]] = []
 _complement_by_id: list[tuple[int, ...]] = []
 _words: dict[int, int] = {}
 _complement_values: dict[tuple[int, ...], tuple[int, ...]] = {}
-# Columns of subspace ids by (space key, dim U, dim F_C), all of one space.
-_columns: dict[tuple[int, int, int], array] = {}
+# Columns of subspace ids by (space basis, dim U, dim F_C), all of one space.
+_columns: dict[tuple[tuple[int, ...], int, int], array] = {}
 
 
 def gaussian_binomial(n: int, k: int) -> int:
@@ -221,39 +223,29 @@ def _complement_in(space_basis: Sequence[int], sub_rows: Sequence[int]) -> tuple
     return tuple(comp)
 
 
-def _space_key(space_basis: Sequence[int]) -> int:
-    """Key prefix of a space: a leading 1, then each basis vector in a
-    LENGTH_GUARD-bit field, then one empty field.  Basis vectors are
-    nonzero, so the empty field marks where the space ends."""
-    key = 1
-    for b in space_basis:
-        key = key << LENGTH_GUARD | b
-    return key << LENGTH_GUARD
-
-
 def _subspace(
-    space_key: int, space_basis: Sequence[int], sub_rows: Sequence[int]
+    space: tuple[int, ...], sub_rows: Sequence[int]
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """The id, the rows and the complement ``_complement_in(space_basis,
-    sub_rows)`` of a subspace in the subspace table; ``sub_rows`` is its
-    reduced basis and ``space_key`` is ``_space_key(space_basis)``.
+    """The id, the rows and the complement ``_complement_in(space,
+    sub_rows)`` of a subspace in the subspace table; ``space`` is the
+    basis of the space and ``sub_rows`` the subspace's reduced basis.
 
     A new subspace is stored only while the table holds fewer than
     TABLE_CAP entries; past the cap its rows and complement are computed
     and its id is NO_ID.
     """
     rows = tuple(sub_rows)
-    ids = _subspace_ids.get(space_key)
+    ids = _subspace_ids.get(space)
     sid = ids.get(rows) if ids else None
     if sid is not None:
         return sid, _rows_by_id[sid], _complement_by_id[sid]
     rows = tuple([_words.setdefault(w, w) for w in rows])
-    comp = tuple([_words.setdefault(w, w) for w in _complement_in(space_basis, rows)])
+    comp = tuple([_words.setdefault(w, w) for w in _complement_in(space, rows)])
     comp = _complement_values.setdefault(comp, comp)
     if len(_rows_by_id) >= TABLE_CAP:
         return NO_ID, rows, comp
     sid = len(_rows_by_id)
-    _subspace_ids.setdefault(space_key, {})[rows] = sid
+    _subspace_ids.setdefault(space, {})[rows] = sid
     _rows_by_id.append(rows)
     _complement_by_id.append(comp)
     return sid, rows, comp
@@ -269,17 +261,17 @@ class _Unstored:
         pass
 
 
-def _column(space_key: int, a: int, f: int, size: int) -> array | _Unstored:
+def _column(space: tuple[int, ...], a: int, f: int, size: int) -> array | _Unstored:
     """The column of subspace ids of the band (dim U = a, dim F_C = f) of
     a fixed space, one entry per block rank, NO_ID until the block is
     first met.  Columns of an earlier space are dropped when a new space
     gets one, and a band of more than TABLE_CAP blocks gets none."""
     if size > TABLE_CAP:
         return _Unstored()
-    key = (space_key, a, f)
+    key = (space, a, f)
     col = _columns.get(key)
     if col is None:
-        if _columns and next(iter(_columns))[0] != space_key:
+        if _columns and next(iter(_columns))[0] != space:
             _columns.clear()
         col = _columns[key] = array("H", [NO_ID]) * size
     return col
@@ -337,10 +329,9 @@ def _invariant_positions(
         raise InvalidInput("need start >= 0 and step >= 1")
     cycles, fixed_pts = _cycles_and_fixed(n, involution)
     pairvecs = [(1 << a) | (1 << b) for a, b in cycles]
-    f_basis = pairvecs + [1 << c for c in fixed_pts]
+    f_basis = tuple(pairvecs + [1 << c for c in fixed_pts])
     # x & half is the preimage of x in U under id+involution on the first cycle points
     half = sum(1 << a for a, _b in cycles)
-    f_key = _space_key(f_basis)
     r = len(pairvecs)
     d_fix = len(f_basis)
     pos = ordinal = 0
@@ -349,8 +340,8 @@ def _invariant_positions(
         block = 1 << (a * t)
         end = pos + n_u * n_s * block
         first = max(start, start - (start - pos) // step * step)
-        u_col = _column(f_key, a, a, n_u)
-        fc_col = _column(f_key, a, f, n_u * n_s)
+        u_col = _column(f_basis, a, a, n_u)
+        fc_col = _column(f_basis, a, f, n_u * n_s)
         u_at = fc_at = None
         for idx in range(first, end, step):
             at, lval = divmod(idx - pos, block)
@@ -360,7 +351,7 @@ def _invariant_positions(
                     sid = u_col[i_u]
                     if sid == NO_ID:
                         u_basis = _span_rows(pairvecs, _echelon_at(r, a, i_u))
-                        sid, u_basis, quotient = _subspace(f_key, f_basis, u_basis)
+                        sid, u_basis, quotient = _subspace(f_basis, u_basis)
                         u_col[i_u] = sid
                     else:
                         u_basis, quotient = _rows_by_id[sid], _complement_by_id[sid]
@@ -374,7 +365,7 @@ def _invariant_positions(
                     for row in _span_rows(quotient, _echelon_at(d_fix - a, f - a, i_s)):
                         fc_basis = _insert(fc_basis, row)
                     fc_basis = sorted(fc_basis, key=lambda r: r & -r)
-                    sid, fc_rows, rbasis = _subspace(f_key, f_basis, fc_basis)
+                    sid, fc_rows, rbasis = _subspace(f_basis, fc_basis)
                     fc_col[at] = sid
                 else:
                     fc_rows, rbasis = _rows_by_id[sid], _complement_by_id[sid]

@@ -153,6 +153,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    # an argparse group cannot hold --k against the pair --k-lo, --k-hi
+    if args.k is not None and (args.k_lo, args.k_hi) != (None, None):
+        raise InvalidInput("--k excludes --k-lo and --k-hi")
     k_lo = args.k if args.k is not None else args.k_lo
     k_hi = args.k if args.k is not None else args.k_hi
     slice_ = _parse_slice(args.slice) if args.slice else (0, 1)

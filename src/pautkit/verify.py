@@ -63,11 +63,12 @@ from .perm import (
 CONJECTURE_LENGTH_GUARD = 12
 _JOURNAL_UNITS = 16
 
-# The verdict of the cheap rungs on each census block of the pairing,
-# one byte per block ordinal, by (n, k); a block is UNKNOWN until a
-# scan of this process first meets it.
-UNKNOWN, SETTLED, OPEN = 0, 1, 2
-_verdicts: dict[tuple[int, int], bytearray] = {}
+# The record of each census block of the pairing, by (n, k) and block
+# ordinal; None until a scan of this process first meets the block.
+_records: dict[tuple[int, int], list[tuple[int, tuple | None] | None]] = {}
+# The records of settled blocks, one per complement-rung mask; mask 0
+# is the record of a block the alpha-x rung settles.
+_settled: dict[int, tuple[int, None]] = {}
 
 
 @dataclass(frozen=True)
@@ -443,31 +444,31 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dic
     The unit's codes sit at stream positions sidx + (unit + m*units)*stotal,
     an arithmetic progression; the position walker addresses each of them
     by rank, so the unit builds only its own codes, and a block it met
-    before costs two table reads.  The cheap rungs of the witness ladder
-    are decided once per (U, F_C) block of the census per process, and
-    the verdict is kept in ``_verdicts`` by the block ordinal: the
-    complement rung (``fixed._block_free_pairs``) settles the block when
-    U misses a pair, and otherwise ``fixed._block_alpha_x`` decides the
-    alpha-x rung, as ``fixed._block_settled`` does.  At n = 12 that is
-    65320 bytes for k = 5..7, 13412 blocks need the alpha-x rung and
-    1430 stay open.  In an open block, test (a) of
-    ``autgroup._group_is_pairing`` is decided per code from the block's
-    entry (``autgroup._block_entry``, computed once per process) by
+    before costs two table reads.  Each (U, F_C) block of the census gets
+    one record per process, kept in ``_records`` by the block ordinal
+    when the scan first meets it: (free, entry), with free the
+    complement-rung mask (``fixed._block_free_pairs``) and entry None
+    when the cheap rungs settle the block (``fixed._block_settled``:
+    a nonzero mask, or ``fixed._block_alpha_x``), else the block's test
+    (a), ``autgroup._block_entry``.  Settled blocks share one record per
+    mask.  At n = 12, k = 5..7 that is 65320 slots, of which 1430 blocks
+    stay open.  In an open block, test (a) of
+    ``autgroup._group_is_pairing`` is decided per code from the entry by
     ``autgroup._centraliser_fixes``, and only the codes that pass it are
     built and searched by test (b), ``autgroup._other_pairing_involution``;
     this gives the same outcome as ``pairing_group_is_everything`` on
-    every code.  Every code is still checked on its generator rows: the
-    F_C rows must be fixed by sigma and each twist row w must have
-    w + w^sigma in F_C, and the complement witness, the pair product over
-    the pairs U misses (the mask of ``_block_free_pairs``, taken at each
-    change of block), must fix each twist row, that is each twist row
+    every code.  Every code is
+    still checked on its generator rows: the F_C rows must be fixed by
+    sigma and each twist row w must have w + w^sigma in F_C, and the
+    complement witness, the pair product over the pairs U misses (the
+    record's mask), must fix each twist row, that is each twist row
     reads equal bits on those pairs.
     """
     n, k, unit, units, sidx, stotal = args
     sigma = canonical_sigma(n)
-    verdicts = _verdicts.get((n, k))
-    if verdicts is None:
-        verdicts = _verdicts[n, k] = bytearray(_block_count(n, k, sigma))
+    records = _records.get((n, k))
+    if records is None:
+        records = _records[n, k] = [None] * _block_count(n, k, sigma)
     # sigma swaps the two bits of every pair (2p, 2p+1)
     low_bits = int("01" * (n // 2), 2)
     scanned = 0
@@ -482,22 +483,22 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dic
             for x in fc_rows:
                 if (x ^ x >> 1) & low_bits:
                     raise NotInvariant("code is not invariant under the pairing involution")
-            free = _block_free_pairs(n, u_rows)
-            verdict = verdicts[ordinal]
-            if verdict == UNKNOWN:
-                settled = bool(free) or _block_alpha_x(n, u_rows, fc_rows)
-                verdict = verdicts[ordinal] = SETTLED if settled else OPEN
-            if verdict == OPEN:
-                entry = _block_entry(n, u_rows, fc_rows)
+            record = records[ordinal]
+            if record is None:
+                free = _block_free_pairs(n, u_rows)
+                if free or _block_alpha_x(n, u_rows, fc_rows):
+                    record = _settled.setdefault(free, (free, None))
+                else:
+                    record = 0, _block_entry(n, u_rows, fc_rows)
+                records[ordinal] = record
+            free, entry = record
         for w in wrows:
             if _reduce(fc_rows, w ^ ((w & low_bits) << 1 | (w >> 1) & low_bits)):
                 raise NotInvariant("code is not invariant under the pairing involution")
             # free is 0 unless the complement rung settled the block
             if (w ^ w >> 1) & free:
                 raise RuntimeError("fixed point witness failed validation")
-        if verdict == SETTLED:
-            continue
-        if _centraliser_fixes(entry, n, fc_rows, wrows):
+        if entry is None or _centraliser_fixes(entry, n, fc_rows, wrows):
             continue
         code = LinearCode(n, _rref_ints(fc_rows + wrows))
         if not _other_pairing_involution(code):

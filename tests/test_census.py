@@ -25,7 +25,6 @@ from pautkit.census import (
     _complement_in,
     _echelon_forms,
     _invariant_positions,
-    _space_key,
     _span_rows,
     _subspace,
 )
@@ -260,10 +259,11 @@ def test_slice_units_sum_to_closed_form_coverage():
 
 
 def _fixed_space_basis(n, involution):
-    """The walker's fixed-space basis: the 2-cycle vectors, then the fixed points."""
+    """The walker's fixed-space basis: the 2-cycle vectors, then the fixed
+    points, as the tuple that keys the census tables."""
     cycles = [(i, x) for i, x in enumerate(involution.images) if i < x]
     fixed = [i for i, x in enumerate(involution.images) if i == x]
-    return [(1 << a) | (1 << b) for a, b in cycles] + [1 << c for c in fixed]
+    return tuple([(1 << a) | (1 << b) for a, b in cycles] + [1 << c for c in fixed])
 
 
 def _all_subspace_rows(basis):
@@ -283,10 +283,9 @@ def test_subspace_table_equals_direct_computation(cold_census_tables):
             for _ in _invariant_positions(n, k, involution, 0, 1):
                 pass
         basis = _fixed_space_basis(n, involution)
-        key = _space_key(basis)
         filled = len(census._rows_by_id)
         for rows in _all_subspace_rows(basis):
-            sid, got_rows, comp = _subspace(key, basis, rows)
+            sid, got_rows, comp = _subspace(basis, rows)
             assert sid != NO_ID and got_rows == rows
             assert comp == census._complement_by_id[sid] == _complement_in(basis, rows)
         assert len(census._rows_by_id) == filled
@@ -345,10 +344,9 @@ def test_subspace_table_stops_at_its_cap(cold_census_tables):
     assert len(census._rows_by_id) == TABLE_CAP
     # past the cap a complement is still computed, just not stored
     basis = _fixed_space_basis(8, beta)
-    key = _space_key(basis)
     unstored = 0
     for rows in _all_subspace_rows(basis):
-        sid, _rows, comp = _subspace(key, basis, rows)
+        sid, _rows, comp = _subspace(basis, rows)
         assert comp == _complement_in(basis, rows)
         unstored += sid == NO_ID
     assert unstored == 29212 - TABLE_CAP
@@ -369,6 +367,4 @@ def test_long_band_allocates_no_column(cold_census_tables):
         assert image_code(code, beta) == code
     assert all(len(c) <= TABLE_CAP for c in census._columns.values())
     # the pairing's columns went when the walk moved to another space
-    assert {space for space, _a, _f in census._columns} == {
-        _space_key(_fixed_space_basis(12, beta))
-    }
+    assert {space for space, _a, _f in census._columns} == {_fixed_space_basis(12, beta)}

@@ -177,6 +177,14 @@ def test_conjecture_cli(tmp_path, capsys):
     assert journal.exists()
 
 
+def test_conjecture_k_excludes_the_band(capsys):
+    # --k and the band --k-lo/--k-hi are alternatives; neither is dropped
+    for band in (["--k-lo", "6"], ["--k-hi", "5"], ["--k-lo", "5", "--k-hi", "5"]):
+        assert main(["conjecture", "--n", "10", "--k", "5", *band]) == 2
+        assert "--k excludes" in capsys.readouterr().err
+    assert main(["conjecture", "--n", "12", "--k-lo", "7", "--slice", "0/1000"]) == 0
+
+
 def test_conjecture_bad_slice(capsys):
     assert main(["conjecture", "--n", "10", "--slice", "3/2"]) == 2
     assert main(["conjecture", "--n", "10", "--slice", "junk"]) == 2

@@ -5,12 +5,21 @@ import pytest
 from pautkit import (
     InvalidInput,
     LinearCode,
+    Perm,
     TooLarge,
     conjecture_search,
+    find_automorphism_outside,
     pairing_group_is_everything,
 )
-from pautkit.autgroup import _automorphism_images
-from pautkit.census import enumerate_subspaces, sigma_invariant_count
+from pautkit import autgroup, census, verify
+from pautkit.autgroup import (
+    _automorphism_images,
+    _block_entry,
+    _pairing_split,
+)
+from pautkit.census import _invariant_positions, enumerate_subspaces, sigma_invariant_count
+from pautkit.fixed import _block_free_pairs, _block_settled
+from pautkit.gf2 import _rref_ints
 from pautkit.perm import canonical_sigma
 from pautkit.verify import (
     Counterexample,
@@ -23,6 +32,7 @@ from pautkit.verify import (
     check_half_dim_bound,
     check_length4_codes,
     _journal_config,
+    _scan_unit,
 )
 
 
@@ -491,19 +501,18 @@ def test_length12_slice_outcome():
 
 def test_block_verdicts_are_the_block_rungs(cold_census_tables, monkeypatch):
     # n = 10 and two n = 12 slices in one process, from cold tables: each
-    # stored verdict must be the block's cheap-rung outcome, and a block
-    # no scan met must still be unknown
-    from pautkit import verify
-    from pautkit.census import _invariant_positions
-    from pautkit.fixed import _block_settled
-
-    monkeypatch.setattr(verify, "_verdicts", {})
+    # met block's record must hold its complement-rung mask, and its test
+    # (a) entry exactly when the cheap rungs leave it open; a block no
+    # scan met must have no record
+    monkeypatch.setattr(verify, "_records", {})
+    monkeypatch.setattr(verify, "_settled", {})
     assert conjecture_search(10).scanned == 18291
     assert conjecture_search(12, slice_=(0, 100)).scanned == 24110
     cold = conjecture_search(12, slice_=(37, 100)).to_dict()
     assert (cold["scanned"], len(cold["counterexamples"])) == (24109, 493)
-    assert sorted(verify._verdicts) == [(10, 5), (12, 5), (12, 6), (12, 7)]
-    for (n, k), verdicts in verify._verdicts.items():
+    assert sorted(verify._records) == [(10, 5), (12, 5), (12, 6), (12, 7)]
+    settled = set()
+    for (n, k), records in verify._records.items():
         met = {}
         for index, total in ((0, 1),) if n == 10 else ((0, 100), (37, 100)):
             for ordinal, u_rows, fc_rows, _w in _invariant_positions(
@@ -511,14 +520,70 @@ def test_block_verdicts_are_the_block_rungs(cold_census_tables, monkeypatch):
             ):
                 met.setdefault(ordinal, (u_rows, fc_rows))
         for ordinal, (u_rows, fc_rows) in met.items():
-            settled = _block_settled(n, u_rows, fc_rows)
-            assert verdicts[ordinal] == (verify.SETTLED if settled else verify.OPEN)
-        assert len(verdicts) - verdicts.count(verify.UNKNOWN) == len(met)
-    # a warm scan reads the verdicts and the columns, with the same report
+            free, entry = records[ordinal]
+            assert free == _block_free_pairs(n, u_rows)
+            if _block_settled(n, u_rows, fc_rows):
+                assert entry is None
+                settled.add(id(records[ordinal]))
+            else:
+                assert entry == _block_entry(n, u_rows, fc_rows)
+        assert len(records) - records.count(None) == len(met)
+    # settled blocks share one record per mask
+    assert settled == {id(r) for r in verify._settled.values()}
+    # a warm scan reads the records and the columns, with the same report
+    calls = []
+    for name in ("_block_free_pairs", "_block_alpha_x", "_block_entry"):
+        rung = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda *args, _rung=rung: calls.append(_rung) or _rung(*args)
+        )
     warm = conjecture_search(12, slice_=(37, 100)).to_dict()
+    assert calls == []
     cold.pop("elapsed_ms")
     warm.pop("elapsed_ms")
     assert warm == cold
+
+
+def test_length14_blocks_keep_their_own_records(monkeypatch):
+    # rows of 14 bits, with the length guards lifted: a sparse k = 6 walk
+    # and its scan must keep every block's facts apart.  Keys that packed
+    # the rows into 12-bit fields gave 96 blocks of this walk another
+    # block's test (a) entry, and 41 of its 521 open codes a wrong verdict
+    monkeypatch.setattr(census, "LENGTH_GUARD", 14)
+    monkeypatch.setattr(autgroup, "LENGTH_GUARD", 14)
+    monkeypatch.setattr(verify, "_records", {})
+    n, k = 14, 6
+    allowed = (Perm.identity(n), canonical_sigma(n))
+    step = sigma_invariant_count(n, k) // 3000
+    scanned, hits = _scan_unit((n, k, 0, 1, 0, step))
+    assert scanned == 3001
+    records = verify._records[n, k]
+    blocks = {}
+    open_codes = 0
+    searched_hits = []
+    for ordinal, u_rows, fc_rows, wrows in _invariant_positions(
+        n, k, canonical_sigma(n), 0, step
+    ):
+        code = LinearCode(n, _rref_ints(fc_rows + wrows))
+        block = _pairing_split(code)[:2]
+        assert block == (tuple(u_rows), fc_rows)
+        assert blocks.setdefault(ordinal, block) == block
+        free, entry = records[ordinal]
+        assert free == _block_free_pairs(n, u_rows)
+        assert (entry is None) == _block_settled(n, u_rows, fc_rows)
+        if entry is None:
+            continue
+        open_codes += 1
+        assert entry == _block_entry(n, *block)
+        if find_automorphism_outside(code, allowed) is None:
+            searched_hits.append(code)
+    # the ordinals map one-to-one onto the blocks
+    assert len(set(blocks.values())) == len(blocks)
+    assert open_codes == 521
+    # the scan's verdicts, test (a) from the records and then (b), are
+    # those of the full automorphism search
+    assert [LinearCode.from_strings(h["generators"]) for h in hits] == searched_hits
+    assert len(hits) == 67
 
 
 @pytest.mark.slow
