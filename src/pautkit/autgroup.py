@@ -56,7 +56,7 @@ the identity and sigma as its last rung.
 
 Whether PAut(C) is exactly <sigma>, for a code invariant under the
 pairing sigma = (0,1)(2,3)..., is decided by two tests far smaller
-than the full tree (``_group_is_pairing``):
+than the full tree (``verify.pairing_group_is_everything``):
 
 (a) the centraliser C(sigma) = Z_2 wr S_{n/2} holds no automorphism
     other than the identity and sigma;
@@ -87,12 +87,16 @@ per block, whatever pi.  For pi = id, d = 0, and the flips that fix C
 form the kernel of the flip map, which always holds the empty set (the
 identity) and all pairs (sigma).  So (a) holds exactly when that kernel
 has no other element and no pi in K other than the identity has d mod
-F_C in W.  ``_block_entry`` computes the kernel, W and K of a block (U,
-F_C) (from ``_automorphism_images`` of U as a code of length n/2,
-filtered by F_C) and keeps nothing; the census scan stores it in the
-block's record (``verify._scan_unit``), so it runs once per open block
-per process, and ``_centraliser_fixes`` then costs a few reductions per
-element of K.
+F_C in W.  The kernel holds both cheap witnesses of
+``fixed._cheap_witness``: the flip of a pair that U misses (the
+complement witness), and for x in F_C the pair product alpha-x, which
+is f_x and fixes the block's codes exactly when x is in the kernel.  So
+one entry is the block's whole verdict for (a).  ``_block_entry``
+computes the kernel, W and K of a block (U, F_C) (from
+``_automorphism_images`` of U as a code of length n/2, filtered by F_C)
+and keeps nothing; the census scan stores it in the block's record
+(``verify._scan_unit``), so it runs once per block per process, and
+``_centraliser_fixes`` then costs a few reductions per element of K.
 
 Why (a) and (b) are exact: let G = PAut(C), with sigma in G.  If (a)
 holds, the centraliser of sigma in G is <sigma>, so <sigma> is a Sylow
@@ -707,7 +711,8 @@ def _block_entry(n: int, u_rows: Sequence[int], fc_rows: Sequence[int]) -> tuple
     reduced rows ``fc_rows``, n even.
 
     Returns () when a pair flip other than the identity and sigma fixes
-    every code of the block.  Otherwise returns (W, moves) for
+    every code of the block; a pair that U misses gives one without the
+    flip map, when n >= 4.  Otherwise returns (W, moves) for
     ``_centraliser_fixes``: W is the image basis of ``_pair_flip_map``
     over all pairs, and each move packs one pi in K minus the identity:
     pi^-1 sends pair q to pair (move >> 3q) & 7 for q < n/2, and above
@@ -716,6 +721,12 @@ def _block_entry(n: int, u_rows: Sequence[int], fc_rows: Sequence[int]) -> tuple
     keeps it in the block's record.
     """
     m, a = n // 2, len(u_rows)
+    support = 0
+    for u in u_rows:
+        support |= u
+    # (2^n - 1) / 3 sets bit 2p of every pair p
+    if m > 1 and ((1 << n) - 1) // 3 & ~support:
+        return ()
     kernel, wbasis = _pair_flip_map(n, u_rows, fc_rows, [3 << 2 * p for p in range(m)])
     # the all-ones flip, sigma, is always in the kernel
     if len(kernel) > 1:
@@ -800,28 +811,6 @@ def _other_pairing_involution(code: LinearCode) -> bool:
     code, by the p = 2 search of ``_cycle_automorphisms``."""
     sigma = tuple(i ^ 1 for i in range(code.n))
     return any(imgs != sigma for imgs in _cycle_automorphisms(code, (2,)))
-
-
-def _group_is_pairing(code: LinearCode) -> bool:
-    """Whether PAut(C) is exactly {identity, sigma}, for a code invariant
-    under the pairing sigma = (0,1)(2,3)...
-
-    Runs test (a) of the module docstring on the code's census block
-    (``_pairing_split``, ``_block_entry``, ``_centraliser_fixes``), and
-    only when no element of C(sigma) but the identity and sigma fixes
-    the code, test (b), ``_other_pairing_involution``.  The answer
-    equals ``find_automorphism_outside(code, (id, sigma)) is None``; it
-    is not meaningful for a code that sigma does not fix.
-    """
-    n = code.n
-    if n > LENGTH_GUARD:
-        raise TooLarge(f"automorphism search limited to length {LENGTH_GUARD}")
-    if n % 2:
-        raise InvalidInput("the pairing involution needs even length")
-    u_rows, fc_rows, wrows = _pairing_split(code)
-    if _centraliser_fixes(_block_entry(n, u_rows, fc_rows), n, fc_rows, wrows):
-        return False
-    return not _other_pairing_involution(code)
 
 
 def quasi_group_witness(code: LinearCode) -> Perm | None:

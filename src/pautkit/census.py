@@ -32,9 +32,9 @@ basis, the subspace's reduced rows), so no key depends on the length.
 A revisited block then costs two array reads.  At n = 12 under the
 pairing the table holds the 2825 subspaces of the 6-dimensional fixed
 space, and the columns of k = 5..7 the ids of 65320 blocks (13412 of
-them with a U that meets every pair, 1430 of those left open by the
-cheap witness rungs); filled, both take 0.62 MB (tracemalloc, Python
-3.11), and the columns 0.13 MB of it.  A table or band
+them with a U that meets every pair, 1280 of those with a nonempty
+test (a) entry, ``autgroup._block_entry``); filled, both take 0.62 MB
+(tracemalloc, Python 3.11), and the columns 0.13 MB of it.  A table or band
 larger than ``TABLE_CAP`` entries is walked without storing: past the
 cap a subspace and its complement are computed at each visit.  The
 columns of one fixed space are kept at a time, so their memory is

@@ -127,18 +127,21 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     check = CHECKS[args.theorem_id]
-    kwargs = {}
+    kwargs = {
+        name: value
+        for name, value in (("trials", args.trials), ("seed", args.seed))
+        if value is not None
+    }
     if args.theorem_id in ("lemma-2.1", "thm-5.1"):
-        kwargs["trials"] = args.trials
-        kwargs["seed"] = args.seed
         if args.n is not None:
             kwargs["n_max"] = args.n
+    elif kwargs:
+        raise InvalidInput(f"{args.theorem_id} is exhaustive: it takes no --trials or --seed")
     elif args.theorem_id == "prop-3.4":
         if args.n not in (None, 4):
             raise InvalidInput("prop-3.4 is a check at length 4 only")
-    else:
-        if args.n is not None:
-            kwargs["n"] = args.n
+    elif args.n is not None:
+        kwargs["n"] = args.n
     report = check(**kwargs)
     lines = [
         f"{report.theorem_id}: scanned {report.scanned}, "
@@ -241,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one exhaustive or randomized check")
     p.add_argument("theorem_id", choices=sorted(CHECKS))
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    # None: the randomized suite's own default; exhaustive checks take neither
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--output", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
-from .autgroup import LENGTH_GUARD, _cycle_automorphisms, _pair_flip_map, is_automorphism
+from .autgroup import LENGTH_GUARD, _cycle_automorphisms, is_automorphism
 from .errors import InvalidInput, NotFixed, NotInvariant, TooLarge
 from .gf2 import LinearCode, Word, _insert, _rref_ints
 from .perm import Perm, _apply_bits, from_transpositions, pair_product
@@ -182,7 +181,10 @@ def _cheap_witness(code: LinearCode, sigma: Perm) -> tuple[Perm, str] | None:
     First the validated complement witness when the pair support is not
     full (length at least 4), then the pair products alpha-x over the
     nonzero fixed words in increasing order.  Raises like ``t_sigma``
-    when the code is not invariant under the canonical sigma.
+    when the code is not invariant under the canonical sigma.  Both
+    witnesses are pair flips in the kernel of the code's block entry,
+    ``autgroup._block_entry``, so a code this settles has group larger
+    than <sigma> by ``verify.pairing_group_is_everything`` too.
     """
     n = code.n
     ts = t_sigma(code, sigma)
@@ -197,52 +199,6 @@ def _cheap_witness(code: LinearCode, sigma: Perm) -> tuple[Perm, str] | None:
         if a != sigma and is_automorphism(code, a):
             return a, "alpha-x"
     return None
-
-
-def _block_free_pairs(n: int, u_rows: Sequence[int]) -> int:
-    """The complement rung of a census block whose image under
-    id + sigma is spanned by ``u_rows``, as a mask of the first bits
-    2p of the pairs p that U misses; 0 when U meets every pair, or n < 4.
-
-    A nonzero mask settles every code of the block: its witness, the pair
-    product over those pairs, fixes a code exactly when each twist row
-    w reads equal bits on them, (w ^ w >> 1) & mask == 0.  With U = 0 the
-    witness is the pair-0 transposition instead, and such a block has no
-    twist rows.
-    """
-    support = 0
-    for u in u_rows:
-        support |= u
-    # (2^n - 1) / 3 sets bit 2p of every pair p
-    return ((1 << n) - 1) // 3 & ~support if n >= 4 else 0
-
-
-def _block_settled(n: int, u_rows: Sequence[int], fc_rows: Sequence[int]) -> bool:
-    """Whether the cheap rungs settle every code of a census block, that
-    is every sigma-invariant code C with (id + sigma)C spanned by
-    ``u_rows`` and fixed subcode F_C with reduced basis ``fc_rows``.
-
-    For each such code this equals ``_cheap_witness(code, sigma) is not
-    None``, whatever its twist.  The complement rung depends only on the
-    pair support of U (``_block_free_pairs``), and the alpha-x rung is
-    ``_block_alpha_x``.
-    """
-    return bool(_block_free_pairs(n, u_rows)) or _block_alpha_x(n, u_rows, fc_rows)
-
-
-def _block_alpha_x(n: int, u_rows: Sequence[int], fc_rows: Sequence[int]) -> bool:
-    """Whether the alpha-x rung settles every code of the census block
-    (``u_rows``, ``fc_rows``) of ``_block_settled``.
-
-    For x in F_C, alpha-x fixes F_C pointwise and adds x & u to a
-    codeword c with c + c^sigma = u, so it is an automorphism exactly
-    when x & u lies in F_C for every row u; those x form the kernel K of
-    x -> (x & u mod F_C)_u on F_C, ``autgroup._pair_flip_map``.  The rung
-    exits when K holds a word other than 0 and the all-ones word, whose
-    alpha-x is sigma itself.
-    """
-    kernel, _image = _pair_flip_map(n, u_rows, fc_rows, fc_rows)
-    return len(kernel) > 1 or bool(kernel) and kernel[0] != (1 << n) - 1
 
 
 def _pair_bit(bits: int, p: int) -> int:

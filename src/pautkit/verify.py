@@ -20,6 +20,7 @@ from math import factorial
 from random import Random
 from typing import Iterator
 
+from . import autgroup
 from .autgroup import (
     find_automorphism_outside,
     is_automorphism,
@@ -29,8 +30,8 @@ from .autgroup import (
     _automorphism_images,
     _block_entry,
     _centraliser_fixes,
-    _group_is_pairing,
     _other_pairing_involution,
+    _pairing_split,
 )
 from .census import (
     _block_count,
@@ -41,9 +42,7 @@ from .census import (
 )
 from .errors import InvalidInput, NotInvariant, TooLarge
 from .fixed import (
-    _block_alpha_x,
-    _block_free_pairs,
-    _cheap_witness,
+    _require_canonical_sigma,
     extra_automorphism,
     fixed_point_witness,
     fixed_subcode,
@@ -63,12 +62,9 @@ from .perm import (
 CONJECTURE_LENGTH_GUARD = 12
 _JOURNAL_UNITS = 16
 
-# The record of each census block of the pairing, by (n, k) and block
-# ordinal; None until a scan of this process first meets the block.
-_records: dict[tuple[int, int], list[tuple[int, tuple | None] | None]] = {}
-# The records of settled blocks, one per complement-rung mask; mask 0
-# is the record of a block the alpha-x rung settles.
-_settled: dict[int, tuple[int, None]] = {}
+# The test (a) entry of each census block of the pairing, by (n, k) and
+# block ordinal; None until a scan of this process first meets the block.
+_records: dict[tuple[int, int], list[tuple | None]] = {}
 
 
 @dataclass(frozen=True)
@@ -320,13 +316,11 @@ def check_fixed_dim_interval(n: int = 6) -> VerifyReport:
     if n not in (6, 8):
         raise TooLarge("exhaustive interval scan limited to lengths 6 and 8")
     sigma = canonical_sigma(n)
-    ident = Perm.identity(n)
-    allowed = (ident, sigma)
     rep = VerifyReport("thm-4.2", n, (3, n), 0)
     for k in range(3, n + 1):
         for code in enumerate_sigma_invariant(n, k):
             rep.scanned += 1
-            if find_automorphism_outside(code, allowed) is None:
+            if pairing_group_is_everything(code, sigma):
                 rep.witnesses_checked += 1
                 f = fixed_subcode(code, sigma).k
                 if k == 3:
@@ -427,15 +421,31 @@ def check_fixed_point_witness(
 def pairing_group_is_everything(code: LinearCode, sigma: Perm) -> bool:
     """True iff the automorphism group is exactly {identity, pairing}.
 
-    The cheap rungs of the witness ladder (the complement witness when
-    the pair support is not full, then the pair products attached to
-    nonzero fixed words) are tried first; they also check that sigma is
-    the canonical pairing and fixes the code.  The rest is decided by
-    the block-level centraliser test and the involution search of
-    ``autgroup._group_is_pairing``."""
-    if _cheap_witness(code, sigma) is not None:
+    Raises ``InvalidInput`` unless sigma is the canonical pairing of the
+    code's length, and ``NotInvariant`` when sigma does not fix the
+    code.  The code's census block (``autgroup._pairing_split``) gets its
+    entry, ``autgroup._block_entry``: an empty entry, at any even length,
+    means a pair flip other than the identity and sigma fixes the code.
+    Otherwise test (a), ``autgroup._centraliser_fixes``, and then test
+    (b), ``autgroup._other_pairing_involution``, decide the group (the
+    ``autgroup`` module docstring), and a code longer than
+    ``autgroup.LENGTH_GUARD`` raises ``TooLarge``.
+    """
+    n = _require_canonical_sigma(sigma)
+    if code.n != n:
+        raise InvalidInput("length mismatch")
+    if not is_automorphism(code, sigma):
+        raise NotInvariant("code is not invariant under the pairing involution")
+    u_rows, fc_rows, wrows = _pairing_split(code)
+    entry = _block_entry(n, u_rows, fc_rows)
+    if not entry:
         return False
-    return _group_is_pairing(code)
+    # a move packs each pair into 3 bits, enough for n / 2 <= 8 pairs
+    if n > autgroup.LENGTH_GUARD:
+        raise TooLarge(f"automorphism search limited to length {autgroup.LENGTH_GUARD}")
+    if _centraliser_fixes(entry, n, fc_rows, wrows):
+        return False
+    return not _other_pairing_involution(code)
 
 
 def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dict]]:
@@ -446,23 +456,21 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dic
     by rank, so the unit builds only its own codes, and a block it met
     before costs two table reads.  Each (U, F_C) block of the census gets
     one record per process, kept in ``_records`` by the block ordinal
-    when the scan first meets it: (free, entry), with free the
-    complement-rung mask (``fixed._block_free_pairs``) and entry None
-    when the cheap rungs settle the block (``fixed._block_settled``:
-    a nonzero mask, or ``fixed._block_alpha_x``), else the block's test
-    (a), ``autgroup._block_entry``.  Settled blocks share one record per
-    mask.  At n = 12, k = 5..7 that is 65320 slots, of which 1430 blocks
-    stay open.  In an open block, test (a) of
-    ``autgroup._group_is_pairing`` is decided per code from the entry by
-    ``autgroup._centraliser_fixes``, and only the codes that pass it are
-    built and searched by test (b), ``autgroup._other_pairing_involution``;
-    this gives the same outcome as ``pairing_group_is_everything`` on
-    every code.  Every code is
-    still checked on its generator rows: the F_C rows must be fixed by
-    sigma and each twist row w must have w + w^sigma in F_C, and the
-    complement witness, the pair product over the pairs U misses (the
-    record's mask), must fix each twist row, that is each twist row
-    reads equal bits on those pairs.
+    when the scan first meets it: its test (a) entry,
+    ``autgroup._block_entry``.  A block whose flip kernel holds a pair
+    flip other than the identity and sigma, among them every block the
+    cheap witnesses settle, holds the shared empty entry, and none of its
+    codes is built.  At n = 12, k = 5..7 that is 65320 slots, of which
+    1280 blocks get a nonempty entry.  In those, test (a) is decided per
+    code from the entry by ``autgroup._centraliser_fixes``, and only the
+    codes that pass it are built and searched by test (b),
+    ``autgroup._other_pairing_involution``; this gives the same outcome
+    as ``pairing_group_is_everything`` on every code.  Every code is
+    still checked on its generator rows: at each block the F_C rows must
+    be fixed by sigma and the U rows must lie in F_C (``NotInvariant``),
+    and each twist row w must have w + w^sigma equal to its U row.  So
+    w + w^sigma lies in F_C, and w reads equal bits on the pairs U
+    misses, where the complement witness swaps them.
     """
     n, k, unit, units, sidx, stotal = args
     sigma = canonical_sigma(n)
@@ -483,22 +491,16 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dic
             for x in fc_rows:
                 if (x ^ x >> 1) & low_bits:
                     raise NotInvariant("code is not invariant under the pairing involution")
-            record = records[ordinal]
-            if record is None:
-                free = _block_free_pairs(n, u_rows)
-                if free or _block_alpha_x(n, u_rows, fc_rows):
-                    record = _settled.setdefault(free, (free, None))
-                else:
-                    record = 0, _block_entry(n, u_rows, fc_rows)
-                records[ordinal] = record
-            free, entry = record
-        for w in wrows:
-            if _reduce(fc_rows, w ^ ((w & low_bits) << 1 | (w >> 1) & low_bits)):
-                raise NotInvariant("code is not invariant under the pairing involution")
-            # free is 0 unless the complement rung settled the block
-            if (w ^ w >> 1) & free:
-                raise RuntimeError("fixed point witness failed validation")
-        if entry is None or _centraliser_fixes(entry, n, fc_rows, wrows):
+            for u in u_rows:
+                if _reduce(fc_rows, u):
+                    raise NotInvariant("code is not invariant under the pairing involution")
+            entry = records[ordinal]
+            if entry is None:
+                entry = records[ordinal] = _block_entry(n, u_rows, fc_rows)
+        for w, u in zip(wrows, u_rows):
+            if w ^ ((w & low_bits) << 1 | (w >> 1) & low_bits) != u:
+                raise RuntimeError("twist row does not lift its U row")
+        if not entry or _centraliser_fixes(entry, n, fc_rows, wrows):
             continue
         code = LinearCode(n, _rref_ints(fc_rows + wrows))
         if not _other_pairing_involution(code):

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -13,11 +14,12 @@ from pautkit import (
     is_automorphism,
     is_group_code,
     is_quasi_group_code,
+    pairing_group_is_everything,
     paut,
     quasi_group_witness,
     rref,
 )
-from pautkit import autgroup
+from pautkit import autgroup, verify
 from pautkit.autgroup import (
     StabilizerChain,
     _automorphism_images,
@@ -26,7 +28,6 @@ from pautkit.autgroup import (
     _centraliser_fixes,
     _cycle_automorphisms,
     _fixed_point_free_cosets,
-    _group_is_pairing,
     _pairing_split,
     _primes_dividing,
 )
@@ -48,7 +49,7 @@ from pautkit.census import (
     shard,
     sigma_invariant_count,
 )
-from pautkit.fixed import _block_settled
+from pautkit.fixed import _cheap_witness
 from pautkit.gf2 import _rref_ints
 from pautkit.perm import canonical_sigma
 
@@ -332,13 +333,15 @@ def _pairing_only(code):
 
 
 def test_group_is_pairing_matches_full_search_small():
-    # every sigma-invariant code of every dimension at n <= 8
+    # pairing_group_is_everything on every sigma-invariant code of every
+    # dimension at n <= 8
     checked = hits = 0
     for n in (2, 4, 6, 8):
+        sigma = canonical_sigma(n)
         for k in range(n + 1):
             for code in enumerate_sigma_invariant(n, k):
                 want = _pairing_only(code)
-                assert _group_is_pairing(code) == want
+                assert pairing_group_is_everything(code, sigma) == want
                 checked += 1
                 hits += want
     # only the three codes of length 2 have group exactly {id, sigma}
@@ -347,23 +350,39 @@ def test_group_is_pairing_matches_full_search_small():
 
 @pytest.mark.slow
 def test_group_is_pairing_matches_full_search_length10():
-    """All 55989 sigma-invariant codes at n = 10, every dimension; 10-11 s
-    on a 2-core VM with Python 3.11.7, about 2 s of it in test (a)'s
-    ``_block_entry``, computed afresh for every code."""
+    """All 55989 sigma-invariant codes at n = 10, every dimension, by
+    ``pairing_group_is_everything``; 8-10 s on a 2-core VM with Python
+    3.11.7, about 3 s of it in ``pairing_group_is_everything`` and the
+    rest in the full search of the oracle."""
+    sigma = canonical_sigma(10)
     checked = 0
     for k in range(11):
         for code in enumerate_sigma_invariant(10, k):
-            assert _group_is_pairing(code) == _pairing_only(code)
+            assert pairing_group_is_everything(code, sigma) == _pairing_only(code)
             checked += 1
     assert checked == 55989
 
 
+# an n = 14 code whose block entry is not empty: U meets every pair and
+# the flip kernel holds only the identity and sigma
+OPEN_LENGTH14_ROWS = ("10001011011100", "01000111101100", "00100010101010", "00010001010101")
+
+
 def test_group_is_pairing_on_length12_representatives():
+    sigma = canonical_sigma(12)
     for rows in ORDER_TWO_LENGTH12_REPS:
         code = LinearCode.from_strings(list(rows))
-        assert _group_is_pairing(code) and _group_is_pairing(code.dual())
+        assert pairing_group_is_everything(code, sigma)
+        assert pairing_group_is_everything(code.dual(), sigma)
+    # an empty entry settles a code at any even length; past the length
+    # guard, any other code is refused before its entry's moves are read
+    sigma14 = canonical_sigma(14)
+    assert not pairing_group_is_everything(LinearCode.zero(14), sigma14)
+    code = LinearCode.from_strings(list(OPEN_LENGTH14_ROWS))
+    u_rows, fc_rows, _wrows = _pairing_split(code)
+    assert _block_entry(14, u_rows, fc_rows)
     with pytest.raises(TooLarge):
-        _group_is_pairing(LinearCode.zero(14))
+        pairing_group_is_everything(code, sigma14)
 
 
 def test_group_is_pairing_runs_the_involution_search(monkeypatch):
@@ -372,8 +391,112 @@ def test_group_is_pairing_runs_the_involution_search(monkeypatch):
     # involutions; (1,2)(3,4) and (1,3)(2,4) both fix this code
     code = rref([Word.from_string("1100"), Word.from_string("0011")])
     assert not _pairing_only(code)
-    monkeypatch.setattr(autgroup, "_centraliser_fixes", lambda *args: False)
-    assert not _group_is_pairing(code)
+    monkeypatch.setattr(verify, "_block_entry", lambda *args: ((), ()))
+    assert not pairing_group_is_everything(code, canonical_sigma(4))
+
+
+def _cheap_verdicts(n, ks, index, total):
+    # (k, block ordinal, U rows, F_C rows, twist rows, whether the cheap
+    # witness ladder settles the code) of each position index, index +
+    # total, ... of the census of dimensions ks
+    sigma = canonical_sigma(n)
+    for k in ks:
+        for ordinal, u_rows, fc_rows, wrows in _invariant_positions(n, k, sigma, index, total):
+            code = LinearCode(n, _rref_ints(fc_rows + wrows))
+            settled = _cheap_witness(code, sigma) is not None
+            yield k, ordinal, tuple(u_rows), fc_rows, wrows, settled
+
+
+def _blocks_by_cheap_witness(positions):
+    # (U rows, F_C rows, whether the ladder settles a code of the block)
+    # per (k, block ordinal) of the positions of _cheap_verdicts
+    blocks = {}
+    for k, ordinal, u_rows, fc_rows, _wrows, settled in positions:
+        seen = blocks.get((k, ordinal))
+        blocks[k, ordinal] = (u_rows, fc_rows, settled or bool(seen and seen[2]))
+    return blocks
+
+
+@lru_cache(maxsize=None)
+def _length12_slices():
+    # the positions of slices 0 and 37 of 100 at n = 12, k = 5..7: their
+    # blocks, by _blocks_by_cheap_witness, and by slice the (U rows, F_C
+    # rows, twist rows) of each position the cheap witness ladder leaves
+    # open; one walk for the tests that read them
+    positions = {
+        index: list(_cheap_verdicts(12, (5, 6, 7), index, 100)) for index in (0, 37)
+    }
+    blocks = _blocks_by_cheap_witness(positions[0] + positions[37])
+    opened = {
+        index: [position[2:5] for position in found if not position[5]]
+        for index, found in positions.items()
+    }
+    return blocks, opened
+
+
+def _open_length12_positions():
+    return _length12_slices()[1]
+
+
+def test_cheap_witness_blocks_get_the_empty_entry():
+    # the flip kernel holds both cheap witnesses, so a block in which
+    # fixed._cheap_witness settles a code gets the empty entry.  Every
+    # position at n <= 10, every k, and the blocks met by slices 0 and 37
+    # of 100 at n = 12, k = 5..7.  Tally: (settled by the ladder,
+    # flip-only, with an entry) blocks
+    tallies = {}
+    for n in (2, 4, 6, 8, 10, 12):
+        if n == 12:
+            blocks = _length12_slices()[0]
+        else:
+            blocks = _blocks_by_cheap_witness(_cheap_verdicts(n, range(n + 1), 0, 1))
+        tally = [0, 0, 0]
+        for u_rows, fc_rows, settled in blocks.values():
+            entry = _block_entry(n, u_rows, fc_rows)
+            assert entry == () or not settled
+            tally[0 if settled else 1 if entry == () else 2] += 1
+        tallies[n] = tuple(tally)
+    assert tallies == {
+        2: (0, 0, 3),
+        4: (11, 0, 1),
+        6: (64, 0, 2),
+        8: (505, 0, 8),
+        10: (5687, 0, 82),
+        12: (28469, 112, 1280),
+    }
+
+
+def test_missed_pair_gives_the_empty_entry_without_the_flip_map(monkeypatch):
+    # every block at n = 4..8: a block whose U misses a pair is decided by
+    # that pair's flip alone, any other calls the flip map once
+    calls = []
+    flip_map = autgroup._pair_flip_map
+    monkeypatch.setattr(
+        autgroup, "_pair_flip_map", lambda *args: calls.append(args) or flip_map(*args)
+    )
+    missed = full = 0
+    for n in (4, 6, 8):
+        evens = ((1 << n) - 1) // 3
+        for k in range(n + 1):
+            block = -1
+            for ordinal, u_rows, fc_rows, _wrows in _invariant_positions(
+                n, k, canonical_sigma(n), 0, 1
+            ):
+                if ordinal == block:
+                    continue
+                block = ordinal
+                support = 0
+                for u in u_rows:
+                    support |= u
+                before = len(calls)
+                entry = _block_entry(n, u_rows, fc_rows)
+                if evens & ~support:
+                    assert entry == () and len(calls) == before
+                    missed += 1
+                else:
+                    assert len(calls) == before + 1
+                    full += 1
+    assert missed > 0 and full > 0
 
 
 def _centraliser_verdict(code):
@@ -418,21 +541,6 @@ def test_block_centraliser_test_equals_bruteforce():
     # only the three codes of length 2 pass
     assert (len(codes), passed) == (147 + 87, 3)
     assert moves_checked > 0
-
-
-def _open_length12_positions():
-    # every position of slices 0 and 37 of 100 at n = 12, k = 5..7, in a
-    # block that the cheap rungs leave open, by slice
-    sigma = canonical_sigma(12)
-    return {
-        index: [
-            (u_rows, fc_rows, wrows)
-            for k in (5, 6, 7)
-            for _block, u_rows, fc_rows, wrows in _invariant_positions(12, k, sigma, index, 100)
-            if not _block_settled(12, u_rows, fc_rows)
-        ]
-        for index in (0, 37)
-    }
 
 
 def test_block_centraliser_test_on_length12_open_codes():

@@ -118,6 +118,21 @@ def test_verify_random_suites_reject_trials_below_1(check, trials, capsys):
     assert "trials >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prop-3.1", "--trials", "0"],
+        ["thm-4.2", "--n", "6", "--trials", "5", "--seed", "3"],
+        ["prop-3.4", "--seed", "0"],
+    ],
+)
+def test_verify_exhaustive_checks_reject_trials_and_seed(argv, capsys):
+    # an exhaustive check has no trials or seed to take, so it refuses
+    # them instead of running without them
+    assert main(["verify", *argv]) == 2
+    assert "takes no --trials or --seed" in capsys.readouterr().err
+
+
 def test_verify_json_schema(capsys):
     assert main(["verify", "thm-3.2", "--n", "6", "--output", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -375,26 +375,3 @@ def test_extended_hamming_pair_support_is_always_full():
         assert is_automorphism(moved, sigma)
         assert t_sigma(moved, sigma).pairs == frozenset(range(4))
         assert fixed_point_witness(moved, sigma) is None
-
-
-def test_block_decision_equals_cheap_witness():
-    # the block decision sees only (U, F_C), computed here from each code
-    # directly, and must agree with the per-code cheap rungs on every
-    # sigma-invariant code of n <= 8 and of n = 10, k = 4..6
-    from pautkit.census import enumerate_sigma_invariant
-    from pautkit.fixed import _block_settled, _cheap_witness
-    from pautkit.gf2 import _rref_ints
-    from pautkit.perm import _apply_bits
-
-    for n in (2, 4, 6, 8, 10):
-        sigma = canonical_sigma(n)
-        settled = {True: 0, False: 0}
-        for k in range(4, 7) if n == 10 else range(n + 1):
-            for code in enumerate_sigma_invariant(n, k):
-                u_rows = _rref_ints(r ^ _apply_bits(sigma.images, r) for r in code.rows)
-                fc_rows = fixed_subcode(code, sigma).rows
-                block = _block_settled(n, u_rows, fc_rows)
-                assert block == (_cheap_witness(code, sigma) is not None), code
-                settled[block] += 1
-        # both outcomes occur from n = 6 on
-        assert n < 6 or min(settled.values()) > 0

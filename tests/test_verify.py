@@ -5,6 +5,7 @@ import pytest
 from pautkit import (
     InvalidInput,
     LinearCode,
+    NotInvariant,
     Perm,
     TooLarge,
     conjecture_search,
@@ -18,8 +19,8 @@ from pautkit.autgroup import (
     _pairing_split,
 )
 from pautkit.census import _invariant_positions, enumerate_subspaces, sigma_invariant_count
-from pautkit.fixed import _block_free_pairs, _block_settled
-from pautkit.gf2 import _rref_ints
+from pautkit.fixed import _cheap_witness
+from pautkit.gf2 import _reduce, _rref_ints
 from pautkit.perm import canonical_sigma
 from pautkit.verify import (
     Counterexample,
@@ -127,20 +128,6 @@ def test_report_json_shape_and_determinism():
 def test_counterexample_serialization():
     ce = Counterexample(LinearCode.from_strings(["1100", "0011"]), "demo")
     assert ce.to_dict() == {"generators": ["1100", "0011"], "reason": "demo"}
-
-
-def test_pairing_group_is_everything_matches_search():
-    from pautkit import find_automorphism_outside, Perm
-    from pautkit.census import enumerate_sigma_invariant
-
-    n = 6
-    sigma = canonical_sigma(n)
-    ident = Perm.identity(n)
-    for k in range(n + 1):
-        for code in enumerate_sigma_invariant(n, k):
-            fast = pairing_group_is_everything(code, sigma)
-            slow = find_automorphism_outside(code, (ident, sigma)) is None
-            assert fast == slow
 
 
 def test_conjecture_guards():
@@ -499,19 +486,19 @@ def test_length12_slice_outcome():
     assert {c.code.k for c in report.counterexamples} == {6}
 
 
-def test_block_verdicts_are_the_block_rungs(cold_census_tables, monkeypatch):
+def test_block_records_are_the_block_entries(cold_census_tables, monkeypatch):
     # n = 10 and two n = 12 slices in one process, from cold tables: each
-    # met block's record must hold its complement-rung mask, and its test
-    # (a) entry exactly when the cheap rungs leave it open; a block no
-    # scan met must have no record
+    # met block's record must be its test (a) entry, computed afresh, and
+    # the empty entries one shared tuple; a block no scan met must have
+    # no record
     monkeypatch.setattr(verify, "_records", {})
-    monkeypatch.setattr(verify, "_settled", {})
     assert conjecture_search(10).scanned == 18291
     assert conjecture_search(12, slice_=(0, 100)).scanned == 24110
     cold = conjecture_search(12, slice_=(37, 100)).to_dict()
     assert (cold["scanned"], len(cold["counterexamples"])) == (24109, 493)
     assert sorted(verify._records) == [(10, 5), (12, 5), (12, 6), (12, 7)]
-    settled = set()
+    empty = set()
+    nonempty = 0
     for (n, k), records in verify._records.items():
         met = {}
         for index, total in ((0, 1),) if n == 10 else ((0, 100), (37, 100)):
@@ -520,28 +507,57 @@ def test_block_verdicts_are_the_block_rungs(cold_census_tables, monkeypatch):
             ):
                 met.setdefault(ordinal, (u_rows, fc_rows))
         for ordinal, (u_rows, fc_rows) in met.items():
-            free, entry = records[ordinal]
-            assert free == _block_free_pairs(n, u_rows)
-            if _block_settled(n, u_rows, fc_rows):
-                assert entry is None
-                settled.add(id(records[ordinal]))
+            assert records[ordinal] == _block_entry(n, u_rows, fc_rows)
+            if records[ordinal]:
+                nonempty += 1
             else:
-                assert entry == _block_entry(n, u_rows, fc_rows)
+                empty.add(id(records[ordinal]))
         assert len(records) - records.count(None) == len(met)
-    # settled blocks share one record per mask
-    assert settled == {id(r) for r in verify._settled.values()}
+    assert len(empty) == 1
+    # 30 at n = 10, k = 5, and every one of the 1280 at n = 12, k = 5..7
+    assert nonempty == 30 + 1280
     # a warm scan reads the records and the columns, with the same report
     calls = []
-    for name in ("_block_free_pairs", "_block_alpha_x", "_block_entry"):
-        rung = getattr(verify, name)
-        monkeypatch.setattr(
-            verify, name, lambda *args, _rung=rung: calls.append(_rung) or _rung(*args)
-        )
+    monkeypatch.setattr(
+        verify, "_block_entry", lambda *args: calls.append(args) or _block_entry(*args)
+    )
     warm = conjecture_search(12, slice_=(37, 100)).to_dict()
     assert calls == []
     cold.pop("elapsed_ms")
     warm.pop("elapsed_ms")
     assert warm == cold
+
+
+def _altered_walk(monkeypatch, alter):
+    # the census walk of verify, with each yielded position altered
+    walk = verify._invariant_positions
+    monkeypatch.setattr(verify, "_records", {})
+    monkeypatch.setattr(
+        verify, "_invariant_positions", lambda *args: (alter(*pos) for pos in walk(*args))
+    )
+
+
+def test_scan_rejects_a_twist_row_off_its_u_row(monkeypatch):
+    # bit 0 of the first twist row flipped: w + w^sigma is no longer its U row
+    _altered_walk(
+        monkeypatch,
+        lambda ordinal, u_rows, fc_rows, wrows: (
+            ordinal, u_rows, fc_rows, tuple(w ^ (i == 0) for i, w in enumerate(wrows))
+        ),
+    )
+    with pytest.raises(RuntimeError, match="twist row"):
+        _scan_unit((10, 5, 0, 1, 0, 1))
+
+
+def test_scan_rejects_a_u_row_outside_the_fixed_subcode(monkeypatch):
+    # a pair vector outside F_C appended to the U rows, past the twist rows
+    def outside(ordinal, u_rows, fc_rows, wrows):
+        extra = [x for x in (3 << 2 * p for p in range(5)) if _reduce(fc_rows, x)]
+        return ordinal, u_rows + extra[:1], fc_rows, wrows
+
+    _altered_walk(monkeypatch, outside)
+    with pytest.raises(NotInvariant):
+        _scan_unit((10, 5, 0, 1, 0, 1))
 
 
 def test_length14_blocks_keep_their_own_records(monkeypatch):
@@ -553,7 +569,8 @@ def test_length14_blocks_keep_their_own_records(monkeypatch):
     monkeypatch.setattr(autgroup, "LENGTH_GUARD", 14)
     monkeypatch.setattr(verify, "_records", {})
     n, k = 14, 6
-    allowed = (Perm.identity(n), canonical_sigma(n))
+    sigma = canonical_sigma(n)
+    allowed = (Perm.identity(n), sigma)
     step = sigma_invariant_count(n, k) // 3000
     scanned, hits = _scan_unit((n, k, 0, 1, 0, step))
     assert scanned == 3001
@@ -561,20 +578,15 @@ def test_length14_blocks_keep_their_own_records(monkeypatch):
     blocks = {}
     open_codes = 0
     searched_hits = []
-    for ordinal, u_rows, fc_rows, wrows in _invariant_positions(
-        n, k, canonical_sigma(n), 0, step
-    ):
+    for ordinal, u_rows, fc_rows, wrows in _invariant_positions(n, k, sigma, 0, step):
         code = LinearCode(n, _rref_ints(fc_rows + wrows))
         block = _pairing_split(code)[:2]
         assert block == (tuple(u_rows), fc_rows)
         assert blocks.setdefault(ordinal, block) == block
-        free, entry = records[ordinal]
-        assert free == _block_free_pairs(n, u_rows)
-        assert (entry is None) == _block_settled(n, u_rows, fc_rows)
-        if entry is None:
+        assert records[ordinal] == _block_entry(n, *block)
+        if _cheap_witness(code, sigma) is not None:
             continue
         open_codes += 1
-        assert entry == _block_entry(n, *block)
         if find_automorphism_outside(code, allowed) is None:
             searched_hits.append(code)
     # the ordinals map one-to-one onto the blocks
@@ -584,6 +596,13 @@ def test_length14_blocks_keep_their_own_records(monkeypatch):
     # those of the full automorphism search
     assert [LinearCode.from_strings(h["generators"]) for h in hits] == searched_hits
     assert len(hits) == 67
+    # a warm rescan reads every entry from the records
+    calls = []
+    monkeypatch.setattr(
+        verify, "_block_entry", lambda *args: calls.append(args) or _block_entry(*args)
+    )
+    assert _scan_unit((n, k, 0, 1, 0, step)) == (scanned, hits)
+    assert calls == []
 
 
 @pytest.mark.slow
