@@ -45,16 +45,14 @@ class Word:
     def from_string(cls, text: str) -> "Word":
         """Parse a 0/1 string; character i is coordinate i."""
         text = text.strip()
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise InvalidInput(f"invalid character {ch!r} in word {text!r}")
-        return cls(len(text), bits)
+        # int() alone would also take signs, underscores and inner spaces
+        rest = text.lstrip("01")
+        if rest:
+            raise InvalidInput(f"invalid character {rest[0]!r} in word {text!r}")
+        return cls(len(text), int(text[::-1], 2) if text else 0)
 
     def to_string(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1] if self.n else ""
 
     def __str__(self) -> str:
         return self.to_string()

@@ -22,11 +22,33 @@ def test_word_string_round_trip():
 
 def test_word_rejects_bad_input():
     with pytest.raises(InvalidInput):
-        Word.from_string("10x1")
-    with pytest.raises(InvalidInput):
         Word(3, 0b1000)
     with pytest.raises(InvalidInput):
         Word.from_string("10") + Word.from_string("100")
+
+
+@pytest.mark.parametrize(
+    "text, bad", [("10x1", "x"), ("0_1", "_"), ("1 0", " "), ("+01", "+"), ("01-", "-")]
+)
+def test_word_rejects_characters_outside_01(text, bad):
+    # int(text, 2) alone would accept the underscore, the sign and the
+    # inner space; the message names the first bad character
+    with pytest.raises(InvalidInput) as info:
+        Word.from_string(text)
+    assert str(info.value) == f"invalid character {bad!r} in word {text!r}"
+
+
+def test_word_strings_at_the_edges():
+    # the empty string is the word of length 0, and both directions keep
+    # every leading and trailing zero of the length
+    assert Word.from_string("") == Word(0, 0) and Word(0, 0).to_string() == ""
+    assert Word.from_string(" 0100 \n") == Word(4, 0b0010)
+    rng = random.Random(3)
+    for n in range(1, 40):
+        bits = rng.getrandbits(n)
+        text = "".join("1" if bits >> i & 1 else "0" for i in range(n))
+        assert Word(n, bits).to_string() == text
+        assert Word.from_string(text) == Word(n, bits)
 
 
 def test_weight_examples():

@@ -528,6 +528,91 @@ def test_block_records_are_the_block_entries(cold_census_tables, monkeypatch):
     assert warm == cold
 
 
+def _direct_verdict(entry, n, fc_rows, wrows):
+    # test (a), then test (b) on the code if (a) passes: None when (a)
+    # settles the code, else whether (b) finds no other involution
+    if autgroup._centraliser_fixes(entry, n, fc_rows, wrows):
+        return None
+    code = LinearCode(n, _rref_ints(fc_rows + wrows))
+    return not autgroup._other_pairing_involution(code)
+
+
+def test_flip_classes_share_their_verdicts():
+    # every code of every block with a nonempty entry, at every even
+    # n <= 10 and every k: both tests answer alike on a pair flip class,
+    # so each code's direct verdict is the first one met for its key
+    tallies = {}
+    for n in (2, 4, 6, 8, 10):
+        sigma = canonical_sigma(n)
+        codes = 0
+        first = {}
+        entries = {}
+        for k in range(n + 1):
+            for ordinal, u_rows, fc_rows, wrows in _invariant_positions(n, k, sigma, 0, 1):
+                if (k, ordinal) not in entries:
+                    entries[k, ordinal] = _block_entry(n, u_rows, fc_rows)
+                entry = entries[k, ordinal]
+                if not entry:
+                    continue
+                codes += 1
+                key = (k, ordinal, verify._flip_class(entry[0], n, fc_rows, wrows))
+                verdict = _direct_verdict(entry, n, fc_rows, wrows)
+                assert first.setdefault(key, verdict) == verdict, (n, key)
+        tallies[n] = (codes, len(first), sum(v is True for v in first.values()))
+    # (codes, classes, hit classes)
+    assert tallies == {
+        2: (3, 3, 3),
+        4: (2, 1, 0),
+        6: (8, 2, 0),
+        8: (112, 14, 0),
+        10: (3712, 232, 0),
+    }
+
+
+def test_scan_decides_once_per_flip_class(monkeypatch):
+    # n = 12 slices 0 and 37 of 100 from a cold memo: the scan's hits,
+    # in order, equal a per-code run of both tests over the same positions
+    monkeypatch.setattr(verify, "_verdicts", {})
+    sigma = canonical_sigma(12)
+    entries = {}
+    reports = {}
+    for index, hits in ((0, 433), (37, 493)):
+        report = conjecture_search(12, slice_=(index, 100)).to_dict()
+        want = []
+        for k in (5, 6, 7):
+            for unit in range(verify._JOURNAL_UNITS):
+                for ordinal, u_rows, fc_rows, wrows in _invariant_positions(
+                    12, k, sigma, index + unit * 100, verify._JOURNAL_UNITS * 100
+                ):
+                    if (k, ordinal) not in entries:
+                        entries[k, ordinal] = _block_entry(12, u_rows, fc_rows)
+                    entry = entries[k, ordinal]
+                    if entry and _direct_verdict(entry, 12, fc_rows, wrows):
+                        code = LinearCode(12, _rref_ints(fc_rows + wrows))
+                        want.append([str(g) for g in code.gens])
+        assert [ce["generators"] for ce in report["counterexamples"]] == want
+        assert len(want) == hits
+        reports[index] = report
+    # (classes, hit classes) by (n, k)
+    assert {key: (len(v), sum(v.values())) for key, v in verify._verdicts.items()} == {
+        (12, 5): (558, 0),
+        (12, 6): (2702, 757),
+        (12, 7): (558, 0),
+    }
+    # a warm rescan reads every verdict from the memo
+    calls = []
+    for name in ("_centraliser_fixes", "_other_pairing_involution"):
+        test = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda *args, test=test, name=name: calls.append(name) or test(*args)
+        )
+    warm = conjecture_search(12, slice_=(37, 100)).to_dict()
+    assert calls == []
+    warm.pop("elapsed_ms")
+    reports[37].pop("elapsed_ms")
+    assert warm == reports[37]
+
+
 def _altered_walk(monkeypatch, alter):
     # the census walk of verify, with each yielded position altered
     walk = verify._invariant_positions
@@ -606,17 +691,29 @@ def test_length14_blocks_keep_their_own_records(monkeypatch):
 
 
 @pytest.mark.slow
-def test_length12_full_scan_totals():
+def test_length12_full_scan_totals(monkeypatch):
     """Reproduces the full length-12 scan: 2410873 invariant codes at
     dimensions 5..7, of which exactly 46080 (all of dimension 6) have
-    automorphism group exactly the pairing.  About 40 CPU-s (21-28 s
-    wall with 4 workers on 2 cores, Python 3.11.7); CI runs it weekly
-    and on demand."""
-    report = conjecture_search(12, jobs=4)
-    assert report.scanned == 2410873
-    assert len(report.counterexamples) == 46080
-    dims = {
-        LinearCode.from_strings(ce.to_dict()["generators"]).k
-        for ce in report.counterexamples
-    }
+    automorphism group exactly the pairing.  It runs twice, with 4
+    workers and then serially in this process from a cold memo, which
+    must meet 7040 pair flip classes, 1440 of them hits, and run test (b)
+    once per hit class.  About 25 CPU-s in all on 2 cores with Python
+    3.11.7: 7-9 s wall and 13-15 CPU-s with the workers, then 10-11 s
+    serially, 22 s for the whole test; CI runs it weekly and on demand."""
+    report = conjecture_search(12, jobs=4).to_dict()
+    assert report["scanned"] == 2410873
+    assert len(report["counterexamples"]) == 46080
+    dims = {LinearCode.from_strings(ce["generators"]).k for ce in report["counterexamples"]}
     assert dims == {6}
+    monkeypatch.setattr(verify, "_verdicts", {})
+    calls = []
+    search = verify._other_pairing_involution
+    monkeypatch.setattr(
+        verify, "_other_pairing_involution", lambda code: calls.append(code) or search(code)
+    )
+    serial = conjecture_search(12).to_dict()
+    classes = [hit for verdicts in verify._verdicts.values() for hit in verdicts.values()]
+    assert (len(classes), sum(classes), len(calls)) == (7040, 1440, 1440)
+    report.pop("elapsed_ms")
+    serial.pop("elapsed_ms")
+    assert serial == report
