@@ -56,7 +56,9 @@ the identity and sigma as its last rung.
 
 Whether PAut(C) is exactly <sigma>, for a code invariant under the
 pairing sigma = (0,1)(2,3)..., is decided by two tests far smaller
-than the full tree (``verify.pairing_group_is_everything``):
+than the full tree, which ``_pairing_only`` runs from the code's census
+block entry for the scan and for ``verify.pairing_group_is_everything``
+alike:
 
 (a) the centraliser C(sigma) = Z_2 wr S_{n/2} holds no automorphism
     other than the identity and sigma;
@@ -82,10 +84,11 @@ pi^-1(u_j) = u_i, the condition reads
 
 with X' = pi^-1(X).  X' runs over all pair sets as x does, so a flip
 completes pi exactly when d mod F_C lies in W, the span of the images
-of the flip map x -> (X & u_i mod F_C)_i.  The pi^-1 step leaves one W
-per block, whatever pi.  For pi = id, d = 0, and the flips that fix C
-form the kernel of the flip map, which always holds the empty set (the
-identity) and all pairs (sigma).  So (a) holds exactly when that kernel
+of the flip map x -> (X & u_i mod F_C)_i; ``_residues`` packs both, one
+n-bit field per row.  The pi^-1 step leaves one W per block, whatever
+pi.  For pi = id, d = 0, and the flips that fix C form the kernel of
+the flip map, which always holds the empty set (the identity) and all
+pairs (sigma).  So (a) holds exactly when that kernel
 has no other element and no pi in K other than the identity has d mod
 F_C in W.  The kernel holds both cheap witnesses of
 ``fixed._cheap_witness``: the flip of a pair that U misses (the
@@ -94,8 +97,8 @@ is f_x and fixes the block's codes exactly when x is in the kernel.  So
 one entry is the block's whole verdict for (a).  ``_block_entry``
 computes the kernel, W and K of a block (U, F_C) (from
 ``_automorphism_images`` of U as a code of length n/2, filtered by F_C)
-and keeps nothing; the census scan stores it in the block's record
-(``verify._scan_unit``), so it runs once per block per process, and
+and keeps nothing; the census scan keeps it in its memo
+(``verify._records``), so it runs once per block per process, and
 ``_centraliser_fixes`` then costs a few reductions per element of K.
 
 Both tests answer alike on each pair flip class of a block.  A flip f_x
@@ -104,12 +107,13 @@ lies in the same block, with twist rows f_x(w_i) = w_i + (X & u_i) and
 twist residues d + phi(x), where d = (w_i mod F_C)_i and phi is the flip
 map, whose image is W.  The residues of the codes f_x C thus fill the
 coset d + W, and the one word of that coset that is zero at the pivots
-of W's reduced basis, the residue of d modulo it, names the class.  And
-PAut(f_x C) = f_x PAut(C) f_x^-1 with f_x sigma f_x^-1 = sigma:
-conjugation by f_x is a bijection of C(sigma) and of the fixed point
-free involutions that fixes sigma and the identity, so (a) and (b) hold
-for f_x C exactly when they hold for C.  The scan decides them once
-per class (``verify._scan_unit``); at n = 12, k = 5..7 the 1280
+of W's reduced basis, the residue of d modulo it, names the class
+(``_flip_class``).  And PAut(f_x C) = f_x PAut(C) f_x^-1 with f_x sigma
+f_x^-1 = sigma: conjugation by f_x is a bijection of C(sigma) and of the
+fixed point free involutions that fixes sigma and the identity, so (a)
+and (b) hold for f_x C exactly when they hold for C.  The census scan calls
+``_pairing_only`` once per class and keeps the verdict in the same memo
+as the entries (``verify._scan_unit``); at n = 12, k = 5..7 the 1280
 nonempty entries have 7040 classes, and 1440 of them pass (a).
 
 Why (a) and (b) are exact: let G = PAut(C), with sigma in G.  If (a)
@@ -687,24 +691,30 @@ def _cycle_automorphisms(
         used[0] = False
 
 
+def _residues(n: int, fc_rows: Sequence[int], words: Iterable[int]) -> int:
+    """The words reduced modulo F_C, with reduced rows ``fc_rows``, packed
+    into one int, one n-bit field per word and the first word highest:
+    the layout of the flip map's images, of the twist residues d of test
+    (a) and of the flip class key."""
+    d = 0
+    for w in words:
+        d = d << n | _reduce(fc_rows, w)
+    return d
+
+
 def _pair_flip_map(
     n: int, u_rows: Sequence[int], fc_rows: Sequence[int], xs: Sequence[int]
 ) -> tuple[list[int], list[int]]:
     """Reduced bases of the kernel and of the image of the linear map
     x -> (x & u mod F_C)_u on the span of the pairing-fixed words ``xs``.
 
-    F_C has the reduced rows ``fc_rows``, and an image packs one n-bit
-    field per row u of ``u_rows``, the first row highest.  Both bases
-    come from one echelon basis of the graph rows image(x) | x << (n a),
-    a = len(u_rows), like ``fixed.fixed_subcode``.
+    F_C has the reduced rows ``fc_rows``, and an image is the
+    ``_residues`` of the words x & u, u in ``u_rows``.  Both bases come
+    from one echelon basis of the graph rows image(x) | x << (n a), a =
+    len(u_rows), like ``fixed.fixed_subcode``.
     """
     shift = n * len(u_rows)
-    graph = []
-    for x in xs:
-        image = 0
-        for u in u_rows:
-            image = image << n | _reduce(fc_rows, x & u)
-        graph.append(image | x << shift)
+    graph = [_residues(n, fc_rows, [x & u for u in u_rows]) | x << shift for x in xs]
     low = (1 << shift) - 1
     graph = _rref_ints(graph)
     return [r >> shift for r in graph if not r & low], [r & low for r in graph if r & low]
@@ -786,17 +796,25 @@ def _centraliser_fixes(
     a = len(wrows)
     for move in moves:
         c = move >> 3 * m
-        d = 0
+        mixed = []
         for i, w in enumerate(wrows):
-            row = c >> a * i
             s = 0
             for j, v in enumerate(wrows):
-                if row >> j & 1:
+                if c >> a * i + j & 1:
                     s ^= v
-            d = d << n | _reduce(fc_rows, w ^ _permute_pairs(move, s, m))
-        if not _reduce(wbasis, d):
+            mixed.append(w ^ _permute_pairs(move, s, m))
+        if not _reduce(wbasis, _residues(n, fc_rows, mixed)):
             return True
     return False
+
+
+def _flip_class(wbasis: tuple[int, ...], n: int, fc_rows, wrows) -> int:
+    """The residue modulo W, with reduced basis ``wbasis``, of the twist
+    residues d = ``_residues`` of ``wrows``: the one word of the coset
+    d + W that is zero at the pivots of ``wbasis``.  The coset holds the
+    twist residues of every code in the pair flip class of the code (the
+    module docstring)."""
+    return _reduce(wbasis, _residues(n, fc_rows, wrows))
 
 
 def _pairing_split(code: LinearCode) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -817,6 +835,23 @@ def _pairing_split(code: LinearCode) -> tuple[tuple[int, ...], tuple[int, ...], 
         tuple(r >> n for r in graph if not r & low),
         tuple(r >> n for r in moving),
     )
+
+
+def _pairing_only(entry: tuple, n: int, fc_rows: Sequence[int], wrows: Sequence[int]) -> bool:
+    """Whether PAut is exactly <sigma> for the code spanned by the F_C
+    rows ``fc_rows`` and the twist rows ``wrows`` of the census block
+    whose ``_block_entry`` is ``entry``: False for the empty entry, else
+    test (a), ``_centraliser_fixes``, and only if it passes, test (b),
+    ``_other_pairing_involution`` (the module docstring).  A nonempty
+    entry past ``LENGTH_GUARD`` raises ``TooLarge``."""
+    if not entry:
+        return False
+    # a move packs each pair into 3 bits, enough for n / 2 <= 8 pairs
+    if n > LENGTH_GUARD:
+        raise TooLarge(f"automorphism search limited to length {LENGTH_GUARD}")
+    if _centraliser_fixes(entry, n, fc_rows, wrows):
+        return False
+    return not _other_pairing_involution(LinearCode(n, _rref_ints(fc_rows + wrows)))
 
 
 def _other_pairing_involution(code: LinearCode) -> bool:

@@ -20,7 +20,6 @@ from math import factorial
 from random import Random
 from typing import Iterator
 
-from . import autgroup
 from .autgroup import (
     find_automorphism_outside,
     is_automorphism,
@@ -29,8 +28,8 @@ from .autgroup import (
     paut,
     _automorphism_images,
     _block_entry,
-    _centraliser_fixes,
-    _other_pairing_involution,
+    _flip_class,
+    _pairing_only,
     _pairing_split,
 )
 from .census import (
@@ -54,6 +53,7 @@ from .perm import (
     _apply_bits,
     canonical_sigma,
     fixed_points,
+    from_transpositions,
     generate,
     is_involution,
     pair_product,
@@ -62,12 +62,11 @@ from .perm import (
 CONJECTURE_LENGTH_GUARD = 12
 _JOURNAL_UNITS = 16
 
-# The test (a) entry of each census block of the pairing, by (n, k) and
-# block ordinal; None until a scan of this process first meets the block.
-_records: dict[tuple[int, int], list[tuple | None]] = {}
-# Whether PAut is exactly <sigma>, by (n, k) and flip class key (see
-# ``_scan_unit``), for every class of a nonempty entry a scan has met.
-_verdicts: dict[tuple[int, int], dict[int, bool]] = {}
+# The scan's memo by (n, k) (see ``_scan_unit``): the test (a) entry of
+# each census block of the pairing by block ordinal, None until a scan of
+# this process first meets the block, and whether PAut is exactly <sigma>
+# by flip class key, for every class of a nonempty entry a scan has met.
+_records: dict[tuple[int, int], tuple[list[tuple | None], dict[int, bool]]] = {}
 
 
 @dataclass(frozen=True)
@@ -128,11 +127,7 @@ def _random_involution(rng: Random, n: int) -> Perm:
     t = rng.randint(1, n // 2)
     pts = list(range(n))
     rng.shuffle(pts)
-    imgs = list(range(n))
-    for i in range(t):
-        a, b = pts[2 * i], pts[2 * i + 1]
-        imgs[a], imgs[b] = b, a
-    return Perm(tuple(imgs))
+    return from_transpositions(n, zip(pts[: 2 * t : 2], pts[1 : 2 * t : 2]))
 
 
 def _random_invariant_code(rng: Random, n: int, p: Perm) -> LinearCode:
@@ -273,12 +268,9 @@ def check_length4_codes() -> VerifyReport:
     t0 = time.monotonic()
     n = 4
     target_wd = (1, 1, 1, 1, 0)
-    transpositions = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            imgs = list(range(n))
-            imgs[a], imgs[b] = b, a
-            transpositions.append(Perm(tuple(imgs)))
+    transpositions = [
+        from_transpositions(n, [(a, b)]) for a in range(n) for b in range(a + 1, n)
+    ]
     counts = {p: 0 for p in transpositions}
     rep = VerifyReport("prop-3.4", n, (2, 2), 0)
     for code in enumerate_subspaces(n, 2):
@@ -313,7 +305,9 @@ def check_length4_codes() -> VerifyReport:
 def check_fixed_dim_interval(n: int = 6) -> VerifyReport:
     """Codes whose automorphism group is exactly the pairing involution
     have fixed subcode dimension between ceil(k/2) and k-2; in
-    particular no such code of dimension 3 exists."""
+    particular no such code of dimension 3 exists.  Each dimension is
+    one unit of the census scan (``_scan_unit``), and the fixed subcode
+    is computed for its hits alone."""
     t0 = time.monotonic()
     _require_even(n)
     if n not in (6, 8):
@@ -321,19 +315,20 @@ def check_fixed_dim_interval(n: int = 6) -> VerifyReport:
     sigma = canonical_sigma(n)
     rep = VerifyReport("thm-4.2", n, (3, n), 0)
     for k in range(3, n + 1):
-        for code in enumerate_sigma_invariant(n, k):
-            rep.scanned += 1
-            if pairing_group_is_everything(code, sigma):
-                rep.witnesses_checked += 1
-                f = fixed_subcode(code, sigma).k
-                if k == 3:
-                    rep.counterexamples.append(
-                        Counterexample(code, "3-dimensional code with pairing-only group")
-                    )
-                elif f >= k - 1:
-                    rep.counterexamples.append(
-                        Counterexample(code, f"fixed dim {f} in the forbidden band for k={k}")
-                    )
+        scanned, hits = _scan_unit((n, k, 0, 1, 0, 1))
+        rep.scanned += scanned
+        rep.witnesses_checked += len(hits)
+        for rows in hits:
+            code = LinearCode(n, rows)
+            f = fixed_subcode(code, sigma).k
+            if k == 3:
+                rep.counterexamples.append(
+                    Counterexample(code, "3-dimensional code with pairing-only group")
+                )
+            elif f >= k - 1:
+                rep.counterexamples.append(
+                    Counterexample(code, f"fixed dim {f} in the forbidden band for k={k}")
+                )
     return _finish(rep, t0)
 
 
@@ -427,12 +422,11 @@ def pairing_group_is_everything(code: LinearCode, sigma: Perm) -> bool:
     Raises ``InvalidInput`` unless sigma is the canonical pairing of the
     code's length, and ``NotInvariant`` when sigma does not fix the
     code.  The code's census block (``autgroup._pairing_split``) gets its
-    entry, ``autgroup._block_entry``: an empty entry, at any even length,
-    means a pair flip other than the identity and sigma fixes the code.
-    Otherwise test (a), ``autgroup._centraliser_fixes``, and then test
-    (b), ``autgroup._other_pairing_involution``, decide the group (the
-    ``autgroup`` module docstring), and a code longer than
-    ``autgroup.LENGTH_GUARD`` raises ``TooLarge``.
+    entry, ``autgroup._block_entry``, and ``autgroup._pairing_only``
+    decides the group from it, as the census scan does: an empty entry,
+    at any even length, means a pair flip other than the identity and
+    sigma fixes the code; otherwise tests (a) and (b) decide, and a code
+    longer than ``autgroup.LENGTH_GUARD`` raises ``TooLarge``.
     """
     n = _require_canonical_sigma(sigma)
     if code.n != n:
@@ -440,38 +434,20 @@ def pairing_group_is_everything(code: LinearCode, sigma: Perm) -> bool:
     if not is_automorphism(code, sigma):
         raise NotInvariant("code is not invariant under the pairing involution")
     u_rows, fc_rows, wrows = _pairing_split(code)
-    entry = _block_entry(n, u_rows, fc_rows)
-    if not entry:
-        return False
-    # a move packs each pair into 3 bits, enough for n / 2 <= 8 pairs
-    if n > autgroup.LENGTH_GUARD:
-        raise TooLarge(f"automorphism search limited to length {autgroup.LENGTH_GUARD}")
-    if _centraliser_fixes(entry, n, fc_rows, wrows):
-        return False
-    return not _other_pairing_involution(code)
+    return _pairing_only(_block_entry(n, u_rows, fc_rows), n, fc_rows, wrows)
 
 
-def _flip_class(wbasis: tuple[int, ...], n: int, fc_rows, wrows) -> int:
-    """The residue modulo W, with reduced basis ``wbasis``, of d = (w_i
-    mod F_C)_i, packed as in ``autgroup._centraliser_fixes``: the one
-    word of the coset d + W that is zero at the pivots of ``wbasis``.
-    The coset holds the twist residues of every code in the pair flip
-    class of the code (the ``autgroup`` module docstring)."""
-    d = 0
-    for w in wrows:
-        d = d << n | _reduce(fc_rows, w)
-    return _reduce(wbasis, d)
-
-
-def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dict]]:
-    """Scan one journal unit; returns (scanned, counterexample dicts).
+def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
+    """Scan one journal unit; returns (scanned, the reduced rows of each
+    code whose group is exactly <sigma>).
 
     The unit's codes sit at stream positions sidx + (unit + m*units)*stotal,
     an arithmetic progression; the position walker addresses each of them
     by rank, so the unit builds only its own codes, and a block it met
-    before costs two table reads.  Each (U, F_C) block of the census gets
-    one record per process, kept in ``_records`` by the block ordinal
-    when the scan first meets it: its test (a) entry,
+    before costs two table reads.  ``_records[n, k]`` is the scan's one
+    memo per process: a list of block records and a dict of class
+    verdicts.  Each (U, F_C) block of the census gets its record, by the
+    block ordinal, when the scan first meets it: its test (a) entry,
     ``autgroup._block_entry``.  A block whose flip kernel holds a pair
     flip other than the identity and sigma, among them every block the
     cheap witnesses settle, holds the shared empty entry, and none of its
@@ -480,33 +456,32 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dic
     decided once per pair flip class: the pair flips map a code to codes
     of its block with the same verdict, and their twist residues fill a
     coset of the entry's W (the ``autgroup`` module docstring).  The
-    class key packs the block ordinal below ``_flip_class``, that coset's
-    canonical word, and ``_verdicts`` keeps each class's verdict per
-    process.  A class met first runs test (a),
-    ``autgroup._centraliser_fixes``, and only if it passes, builds the
-    code and runs test (b), ``autgroup._other_pairing_involution``; this
-    gives the same outcome as ``pairing_group_is_everything`` on every
-    code.  The full n = 12 scan meets 7040 classes, 1440 of them hits,
-    and its memo then holds about 0.45 MB.  Every code is still checked
-    on its generator rows: at each block the F_C rows must be fixed by
-    sigma and the U rows must lie in F_C (``NotInvariant``), and each
-    twist row w must have w + w^sigma equal to its U row.  So w + w^sigma
-    lies in F_C, and w reads equal bits on the pairs U misses, where the
-    complement witness swaps them.  Each hit is reported from its own
-    rows.
+    class key packs the block ordinal below ``autgroup._flip_class``,
+    that coset's canonical word, and keys the verdict dict.  A class met
+    first is decided by ``autgroup._pairing_only``: test (a) and, only if
+    it passes, test (b) on the built code, the decision of
+    ``pairing_group_is_everything``.  The full n = 12 scan meets 7040
+    classes, 1440 of them hits, and its memo then holds about 0.45 MB.
+    Every code is still checked on its generator rows: at each block the
+    F_C rows must be fixed by sigma and the U rows must lie in F_C
+    (``NotInvariant``), and each twist row w must have w + w^sigma equal
+    to its U row.  So w + w^sigma lies in F_C, and w reads equal bits on
+    the pairs U misses, where the complement witness swaps them.  Each
+    hit is reported as its own reduced rows, plain ints that pass through
+    a worker pool as they are.
     """
     n, k, unit, units, sidx, stotal = args
     sigma = canonical_sigma(n)
-    records = _records.get((n, k))
-    if records is None:
-        records = _records[n, k] = [None] * _block_count(n, k, sigma)
-    verdicts = _verdicts.setdefault((n, k), {})
+    memo = _records.get((n, k))
+    if memo is None:
+        memo = _records[n, k] = ([None] * _block_count(n, k, sigma), {})
+    records, verdicts = memo
     # a class key holds the block ordinal in its low bits
     ordinal_bits = len(records).bit_length()
     # sigma swaps the two bits of every pair (2p, 2p+1)
     low_bits = int("01" * (n // 2), 2)
     scanned = 0
-    ces: list[dict] = []
+    hits: list[tuple[int, ...]] = []
     block = -1
     for ordinal, u_rows, fc_rows, wrows in _invariant_positions(
         n, k, sigma, sidx + unit * stotal, units * stotal
@@ -531,13 +506,10 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[dic
         key = _flip_class(entry[0], n, fc_rows, wrows) << ordinal_bits | ordinal
         hit = verdicts.get(key)
         if hit is None:
-            hit = verdicts[key] = not _centraliser_fixes(
-                entry, n, fc_rows, wrows
-            ) and not _other_pairing_involution(LinearCode(n, _rref_ints(fc_rows + wrows)))
+            hit = verdicts[key] = _pairing_only(entry, n, fc_rows, wrows)
         if hit:
-            code = LinearCode(n, _rref_ints(fc_rows + wrows))
-            ces.append(Counterexample(code, "automorphism group is exactly the pairing").to_dict())
-    return scanned, ces
+            hits.append(_rref_ints(fc_rows + wrows))
+    return scanned, hits
 
 
 def _journal_config(n: int, lo: int, hi: int, slice_: tuple[int, int]) -> dict:
@@ -557,7 +529,8 @@ def _load_journal(path, config: dict) -> tuple[set[tuple[int, int]], list[dict]]
     without its newline is a record cut off by a kill: it is dropped and
     the file is truncated to its last complete line.  A repeated record
     of a finished unit adds nothing; a record whose k or unit lies
-    outside the configured band is rejected.
+    outside the configured band is rejected, and so is a counterexample
+    that is not a list of length-n generator strings with a reason.
     """
     done: set[tuple[int, int]] = set()
     prior_ces: list[dict] = []
@@ -582,7 +555,7 @@ def _load_journal(path, config: dict) -> tuple[set[tuple[int, int]], list[dict]]
         if head.get("type") != "config" or head.get("config") != config:
             raise InvalidInput("journal belongs to a different configuration")
     for rec in records[1:]:
-        if not _is_unit_record(rec):
+        if not _is_unit_record(rec, config["n"]):
             raise InvalidInput("malformed journal record")
         if not (
             config["k_lo"] <= rec["k"] <= config["k_hi"]
@@ -602,14 +575,20 @@ def _load_journal(path, config: dict) -> tuple[set[tuple[int, int]], list[dict]]
     return done, prior_ces
 
 
-def _is_unit_record(rec: dict) -> bool:
+def _is_unit_record(rec: dict, n: int) -> bool:
     ces = rec.get("counterexamples")
     return (
         rec.get("type") == "unit"
         and isinstance(rec.get("k"), int)
         and isinstance(rec.get("unit"), int)
         and isinstance(ces, list)
-        and all(isinstance(ce, dict) and {"generators", "reason"} <= ce.keys() for ce in ces)
+        and all(
+            isinstance(ce, dict)
+            and isinstance(ce.get("reason"), str)
+            and isinstance(ce.get("generators"), list)
+            and all(isinstance(g, str) and len(g) == n for g in ce["generators"])
+            for ce in ces
+        )
     )
 
 
@@ -655,7 +634,9 @@ def conjecture_search(
     without rescanning; ``scanned`` counts only this invocation's work
     while counterexamples aggregate the journal too.  The journal is
     locked for the whole call, and a second scan on a locked journal
-    raises ``InvalidInput`` without touching it.
+    raises ``InvalidInput`` without touching it.  A hit of this call is
+    built once from the rows the scan returns; only the counterexamples
+    read back from the journal are parsed from their strings.
     """
     t0 = time.monotonic()
     _require_even(n)
@@ -676,7 +657,11 @@ def conjecture_search(
     config = _journal_config(n, lo, hi, (idx, total))
     rep = VerifyReport("conjecture", n, (lo, hi), 0, slice=(idx, total))
     with _journal_lock(journal_path) if journal_path is not None else nullcontext():
-        done, all_ces = _load_journal(journal_path, config)
+        done, prior = _load_journal(journal_path, config)
+        for ce in prior:
+            gens = ce["generators"]
+            code = LinearCode.from_strings(gens) if gens else LinearCode.zero(n)
+            rep.counterexamples.append(Counterexample(code, ce["reason"]))
         todo = [
             (k, u)
             for k in range(lo, hi + 1)
@@ -693,7 +678,11 @@ def conjecture_search(
             pool = multiprocessing.Pool(jobs)
         with pool:
             results = pool.imap(_scan_unit, work) if parallel else map(_scan_unit, work)
-            for (k, u), (scanned, ces) in zip(todo, results):
+            for (k, u), (scanned, hits) in zip(todo, results):
+                ces = [
+                    Counterexample(LinearCode(n, rows), "automorphism group is exactly the pairing")
+                    for rows in hits
+                ]
                 if journal_path is not None:
                     _append_journal(
                         journal_path,
@@ -702,15 +691,12 @@ def conjecture_search(
                             "k": k,
                             "unit": u,
                             "scanned": scanned,
-                            "counterexamples": ces,
+                            "counterexamples": [ce.to_dict() for ce in ces],
                         },
                     )
                 rep.scanned += scanned
                 rep.witnesses_checked += scanned - len(ces)
-                all_ces.extend(ces)
-    for ce in all_ces:
-        code = LinearCode.from_strings(ce["generators"]) if ce["generators"] else LinearCode.zero(n)
-        rep.counterexamples.append(Counterexample(code, ce["reason"]))
+                rep.counterexamples.extend(ces)
     return _finish(rep, t0)
 
 

@@ -210,11 +210,23 @@ def test_conjecture_malformed_journal_exits_2(tmp_path, capsys):
 
     config = json.dumps({"type": "config", "config": _journal_config(10, 5, 5, (0, 1))})
     no_ces = json.dumps({"type": "unit", "k": 5, "unit": 0, "scanned": 1})
+    # counterexamples that are not length-10 generator lists with a reason
+    bad_ces = [
+        json.dumps({"type": "unit", "k": 5, "unit": 0, "scanned": 1, "counterexamples": [ce]})
+        for ce in (
+            {"generators": ["101"], "reason": "x"},
+            {"generators": "1100000000", "reason": "x"},
+            {"generators": ["1100000000"], "reason": None},
+        )
+    ]
     journal = tmp_path / "bad.ndjson"
-    for text in ("[1]", "[1, 2]", config + "\n[1, 2]", config + "\n" + no_ces):
+    for text in ("[1]", "[1, 2]", config + "\n[1, 2]", config + "\n" + no_ces) + tuple(
+        config + "\n" + unit for unit in bad_ces
+    ):
         journal.write_text(text + "\n")
         assert main(["conjecture", "--n", "10", "--journal", str(journal)]) == 2
         assert "journal record" in capsys.readouterr().err
+        assert journal.read_text() == text + "\n"
 
 
 def test_conjecture_out_of_band_journal_exits_2(tmp_path, capsys):

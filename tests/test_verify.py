@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -18,8 +19,13 @@ from pautkit.autgroup import (
     _block_entry,
     _pairing_split,
 )
-from pautkit.census import _invariant_positions, enumerate_subspaces, sigma_invariant_count
-from pautkit.fixed import _cheap_witness
+from pautkit.census import (
+    _invariant_positions,
+    enumerate_sigma_invariant,
+    enumerate_subspaces,
+    sigma_invariant_count,
+)
+from pautkit.fixed import _cheap_witness, fixed_subcode
 from pautkit.gf2 import _reduce, _rref_ints
 from pautkit.perm import canonical_sigma
 from pautkit.verify import (
@@ -87,10 +93,43 @@ def test_length4_scan():
 
 
 def test_fixed_dim_interval_scan():
-    r = check_fixed_dim_interval(6)
-    assert r.ok
+    # (scanned, witnesses_checked, counterexamples): no code of either
+    # length has group exactly the pairing
+    for n, scanned in ((6, 86), (8, 1812)):
+        r = check_fixed_dim_interval(n).to_dict()
+        assert (r["scanned"], r["witnesses_checked"], r["counterexamples"]) == (scanned, 0, [])
     with pytest.raises(TooLarge):
         check_fixed_dim_interval(10)
+
+
+def test_fixed_dim_interval_reports_both_reasons(monkeypatch):
+    # no block at n = 8, k >= 3 with a nonempty entry holds a code of
+    # k = 3 or of fixed dimension k - 1 or k, so every block is opened
+    # (an entry with no moves) and every open entry passed as pairing
+    # only.  Each code must then come back with the reason its own fixed
+    # subcode gives
+    monkeypatch.setattr(verify, "_records", {})
+    monkeypatch.setattr(verify, "_block_entry", lambda *args: ((), ()))
+    monkeypatch.setattr(verify, "_pairing_only", lambda entry, *args: bool(entry))
+    n = 8
+    sigma = canonical_sigma(n)
+    want = []
+    for k in range(3, n + 1):
+        for code in enumerate_sigma_invariant(n, k):
+            f = fixed_subcode(code, sigma).k
+            if k == 3:
+                want.append((code.rows, "3-dimensional code with pairing-only group"))
+            elif f >= k - 1:
+                want.append((code.rows, f"fixed dim {f} in the forbidden band for k={k}"))
+    r = check_fixed_dim_interval(n)
+    got = [(ce.code.rows, ce.reason) for ce in r.counterexamples]
+    assert sorted(got) == sorted(want)
+    by_reason = Counter(reason.split(" ")[0] for _rows, reason in got)
+    assert (r.scanned, r.witnesses_checked, by_reason) == (
+        1812,
+        1812,
+        {"3-dimensional": 435, "fixed": 226},
+    )
 
 
 def test_dim4_scan():
@@ -243,6 +282,15 @@ MALFORMED_JOURNALS = {
         )
         for missing in ("k", "unit", "counterexamples")
     },
+    # counterexamples that are not length-10 generator lists with a reason
+    **{
+        name: _journal_text(N10_CONFIG, {**N10_UNIT, "counterexamples": [ce]})
+        for name, ce in (
+            ("generator-of-length-3", {"generators": ["101"], "reason": "x"}),
+            ("generators-as-a-string", {"generators": "1100000000", "reason": "x"}),
+            ("reason-not-a-string", {"generators": ["1100000000"], "reason": 1}),
+        )
+    },
 }
 
 
@@ -357,11 +405,7 @@ def test_scan_unit_matches_per_code_ladder():
     for k in (5, 6, 7):
         start, step = idx + unit * total, _JOURNAL_UNITS * total
         codes = list(_invariant_range(12, k, sigma, start, step))
-        want = [
-            Counterexample(c, "automorphism group is exactly the pairing").to_dict()
-            for c in codes
-            if find_automorphism_outside(c, allowed) is None
-        ]
+        want = [c.rows for c in codes if find_automorphism_outside(c, allowed) is None]
         assert _scan_unit((12, k, unit, _JOURNAL_UNITS, idx, total)) == (len(codes), want)
         hits += len(want)
     assert hits == 34
@@ -475,6 +519,27 @@ def test_length12_shard_detects_order_two_groups():
         assert pairing_group_is_everything(code, sigma)
 
 
+def test_scan_hits_are_parsed_only_from_the_journal(tmp_path, monkeypatch):
+    # a hit of this call is built from the rows the scan returns; only the
+    # counterexamples read back from a journal are parsed from strings
+    parse = LinearCode.from_strings.__func__
+    calls = []
+    monkeypatch.setattr(
+        LinearCode,
+        "from_strings",
+        classmethod(lambda cls, rows: calls.append(rows) or parse(cls, rows)),
+    )
+    band = dict(k_lo=6, k_hi=6, slice_=(0, 1024))
+    plain = conjecture_search(12, **band).to_dict()
+    assert len(plain["counterexamples"]) == 40 and calls == []
+    journal = str(tmp_path / "scan.ndjson")
+    assert conjecture_search(12, journal_path=journal, **band).scanned == 1058
+    assert calls == []
+    resumed = conjecture_search(12, journal_path=journal, **band).to_dict()
+    assert resumed["scanned"] == 0 and len(calls) == 40
+    assert resumed["counterexamples"] == plain["counterexamples"]
+
+
 def test_length12_slice_outcome():
     # the slice the benchmark's first request scans: every k = 5..7
     # position i with i mod 100 == 0, so 24110 codes by the closed form
@@ -499,7 +564,7 @@ def test_block_records_are_the_block_entries(cold_census_tables, monkeypatch):
     assert sorted(verify._records) == [(10, 5), (12, 5), (12, 6), (12, 7)]
     empty = set()
     nonempty = 0
-    for (n, k), records in verify._records.items():
+    for (n, k), (records, _verdicts) in verify._records.items():
         met = {}
         for index, total in ((0, 1),) if n == 10 else ((0, 100), (37, 100)):
             for ordinal, u_rows, fc_rows, _w in _invariant_positions(
@@ -555,7 +620,7 @@ def test_flip_classes_share_their_verdicts():
                 if not entry:
                     continue
                 codes += 1
-                key = (k, ordinal, verify._flip_class(entry[0], n, fc_rows, wrows))
+                key = (k, ordinal, autgroup._flip_class(entry[0], n, fc_rows, wrows))
                 verdict = _direct_verdict(entry, n, fc_rows, wrows)
                 assert first.setdefault(key, verdict) == verdict, (n, key)
         tallies[n] = (codes, len(first), sum(v is True for v in first.values()))
@@ -572,7 +637,7 @@ def test_flip_classes_share_their_verdicts():
 def test_scan_decides_once_per_flip_class(monkeypatch):
     # n = 12 slices 0 and 37 of 100 from a cold memo: the scan's hits,
     # in order, equal a per-code run of both tests over the same positions
-    monkeypatch.setattr(verify, "_verdicts", {})
+    monkeypatch.setattr(verify, "_records", {})
     sigma = canonical_sigma(12)
     entries = {}
     reports = {}
@@ -594,7 +659,7 @@ def test_scan_decides_once_per_flip_class(monkeypatch):
         assert len(want) == hits
         reports[index] = report
     # (classes, hit classes) by (n, k)
-    assert {key: (len(v), sum(v.values())) for key, v in verify._verdicts.items()} == {
+    assert {key: (len(v), sum(v.values())) for key, (_, v) in verify._records.items()} == {
         (12, 5): (558, 0),
         (12, 6): (2702, 757),
         (12, 7): (558, 0),
@@ -602,9 +667,9 @@ def test_scan_decides_once_per_flip_class(monkeypatch):
     # a warm rescan reads every verdict from the memo
     calls = []
     for name in ("_centraliser_fixes", "_other_pairing_involution"):
-        test = getattr(verify, name)
+        test = getattr(autgroup, name)
         monkeypatch.setattr(
-            verify, name, lambda *args, test=test, name=name: calls.append(name) or test(*args)
+            autgroup, name, lambda *args, test=test, name=name: calls.append(name) or test(*args)
         )
     warm = conjecture_search(12, slice_=(37, 100)).to_dict()
     assert calls == []
@@ -659,7 +724,7 @@ def test_length14_blocks_keep_their_own_records(monkeypatch):
     step = sigma_invariant_count(n, k) // 3000
     scanned, hits = _scan_unit((n, k, 0, 1, 0, step))
     assert scanned == 3001
-    records = verify._records[n, k]
+    records = verify._records[n, k][0]
     blocks = {}
     open_codes = 0
     searched_hits = []
@@ -679,7 +744,7 @@ def test_length14_blocks_keep_their_own_records(monkeypatch):
     assert open_codes == 521
     # the scan's verdicts, test (a) from the records and then (b), are
     # those of the full automorphism search
-    assert [LinearCode.from_strings(h["generators"]) for h in hits] == searched_hits
+    assert [LinearCode(n, rows) for rows in hits] == searched_hits
     assert len(hits) == 67
     # a warm rescan reads every entry from the records
     calls = []
@@ -705,14 +770,14 @@ def test_length12_full_scan_totals(monkeypatch):
     assert len(report["counterexamples"]) == 46080
     dims = {LinearCode.from_strings(ce["generators"]).k for ce in report["counterexamples"]}
     assert dims == {6}
-    monkeypatch.setattr(verify, "_verdicts", {})
+    monkeypatch.setattr(verify, "_records", {})
     calls = []
-    search = verify._other_pairing_involution
+    search = autgroup._other_pairing_involution
     monkeypatch.setattr(
-        verify, "_other_pairing_involution", lambda code: calls.append(code) or search(code)
+        autgroup, "_other_pairing_involution", lambda code: calls.append(code) or search(code)
     )
     serial = conjecture_search(12).to_dict()
-    classes = [hit for verdicts in verify._verdicts.values() for hit in verdicts.values()]
+    classes = [hit for _, verdicts in verify._records.values() for hit in verdicts.values()]
     assert (len(classes), sum(classes), len(calls)) == (7040, 1440, 1440)
     report.pop("elapsed_ms")
     serial.pop("elapsed_ms")
