@@ -70,7 +70,7 @@ g in C(sigma) factors uniquely as g = f_x pi: pi is a straight pair
 permutation (2p -> 2pi(p), 2p+1 -> 2pi(p)+1), and f_x flips the pairs
 in the pair set x, f_x(v) = v + (X & (v + sigma v)), where X reads 11
 on the pairs of x.  Write the code as the census does
-(``census._invariant_positions``): U = (id + sigma)C with reduced basis
+(``census._invariant_blocks``): U = (id + sigma)C with reduced basis
 u_1..u_a, F_C the fixed subcode, and twist rows w_i with w_i + sigma w_i
 = u_i, so that C = F_C + <w_1..w_a>.  The flips fix Fix(sigma) >= F_C >=
 U pointwise and g commutes with sigma, so g maps U to pi(U) and F_C to
@@ -787,10 +787,9 @@ def _centraliser_fixes(
 
     f_x pi fixes the code exactly when, for every i, d_i = w_i +
     pi^-1(sum_j c_ij w_j) equals X' & u_i modulo F_C, with X' =
-    pi^-1(X); that is when d mod F_C lies in W.
+    pi^-1(X); that is when d mod F_C lies in W.  The entry must not be
+    empty: ``_pairing_only`` settles the empty entry first.
     """
-    if not entry:
-        return True
     wbasis, moves = entry
     m = n // 2
     a = len(wrows)
@@ -818,11 +817,12 @@ def _flip_class(wbasis: tuple[int, ...], n: int, fc_rows, wrows) -> int:
 
 
 def _pairing_split(code: LinearCode) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(U rows, F_C rows, twist rows) of a code under the pairing, as
-    ``census._invariant_positions`` yields them: reduced bases of U =
-    (id + sigma)C and of the fixed subcode, and for each U row u a
-    codeword w with w + sigma w = u.  One echelon basis of the rows
-    (c + sigma c) | c << n holds all three, as in ``fixed.fixed_subcode``."""
+    """(U rows, F_C rows, twist rows) of a code under the pairing, as the
+    census block walk gives them (``census._invariant_blocks`` and
+    ``census._twist_rows``): reduced bases of U = (id + sigma)C and of
+    the fixed subcode, and for each U row u a codeword w with w + sigma
+    w = u.  One echelon basis of the rows (c + sigma c) | c << n holds
+    all three, as in ``fixed.fixed_subcode``."""
     n = code.n
     low = (1 << n) - 1
     evens = low // 3

@@ -16,8 +16,13 @@ the unique preimage supported on the first coordinates of the 2-cycles,
 shifted by L(x).  The codes that share (U, F_C) form a block; in the
 band dim U = a, a block holds 2^(a t) codes, t = codim F_C.
 
-A sparse shard enters a new block at almost every position, so the
-walker builds each block once per process and keeps it in two tables:
+Everything the census scan decides is decided per block, so the walker,
+``_invariant_blocks``, yields each block a shard meets once, with the
+shard's twist values L in it as a range, and ``_invariant_range``
+expands the blocks into codes.  A sparse shard still meets a new block
+at most of its positions: slice 0/100 of n = 12, k = 5..7 meets 18362
+blocks for 24110 codes.  So the walker builds each block once per
+process and keeps it in two tables:
 
 * the subspace table, one entry per subspace of the fixed space met so
   far: its reduced rows and the complement the walker counts in (for
@@ -97,7 +102,7 @@ def invariant_subspace_count(n: int, k: int, involution: Perm) -> int:
 
 def _block_count(n: int, k: int, involution: Perm) -> int:
     """Number of blocks (U, F_C) of the k-dimensional invariant census;
-    the block ordinals of ``_invariant_positions`` run below it."""
+    the block ordinals of ``_invariant_blocks`` run below it."""
     cycles, fixed = _cycles_and_fixed(n, involution)
     return sum(n_u * n_s for _a, _f, n_u, n_s in _bands(len(cycles), len(cycles) + len(fixed), k))
 
@@ -292,34 +297,53 @@ def _invariant_range(
     n: int, k: int, involution: Perm, start: int, step: int
 ) -> Iterator[LinearCode]:
     """Stream positions start, start+step, ... of the invariant census,
-    as the codes spanned by the F_C rows and the twist rows of
-    ``_invariant_positions``."""
-    for _block, _u_rows, fc_rows, wrows in _invariant_positions(n, k, involution, start, step):
-        yield LinearCode(n, _rref_ints(fc_rows + wrows))
+    each block of ``_invariant_blocks`` expanded into the codes spanned
+    by its F_C rows and the twist rows of each of its twist values."""
+    for *_, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(n, k, involution, start, step):
+        for lval in lvals:
+            yield LinearCode(n, _rref_ints(fc_rows + _twist_rows(lifts, twist_basis, lval)))
 
 
-def _invariant_positions(
+def _twist_rows(lifts: Sequence[int], twist_basis: Sequence[int], lval: int) -> tuple[int, ...]:
+    """The twist rows of twist value ``lval`` in a block: lift i plus the
+    twist-basis rows picked by bits i*t .. i*t + t - 1 of ``lval``, t =
+    len(twist_basis)."""
+    wrows = []
+    for lift in lifts:
+        for b in twist_basis:
+            if lval & 1:
+                lift ^= b
+            lval >>= 1
+        wrows.append(lift)
+    return tuple(wrows)
+
+
+def _invariant_blocks(
     n: int, k: int, involution: Perm, start: int, step: int
-) -> Iterator[tuple[int, list[int], tuple[int, ...], tuple[int, ...]]]:
-    """The (block ordinal, U rows, F_C rows, twist rows) of positions
-    start, start+step, ... of the invariant census; the code at a
-    position is spanned by its F_C rows and its twist rows.
+) -> Iterator[tuple[int, tuple, tuple, tuple, tuple, range]]:
+    """The blocks (U, F_C) that positions start, start+step, ... of the
+    invariant census meet, each once and in stream order, as (block
+    ordinal, U rows, F_C rows, lifts, twist basis, twist values).
 
     The stream walks U, then F_C, then the twist matrix L as a binary
     counter.  In the band dim U = a, position (iU*n_S + iS)*2^(a*t) + L of
     the band holds the iU-th U, its iS-th F_C (of n_S) and twist L; the
     block ordinal numbers the blocks (U, F_C) in stream order, from 0
-    below ``_block_count``.  Each selected position is addressed by
-    rank, so a shard costs only the codes it yields.  A block met before
-    in this process is read from the columns and the subspace table
-    (see the module docstring): the id of U by U's rank, the id of F_C
-    by the block's rank, each a reduced basis plus its complement.  A
-    block met for the first time is built and stored: U spanned by an
-    echelon form over the 2-cycle vectors, and F_C by the reduced U rows
-    and an echelon form over U's quotient.
-    The U rows are a basis of U = (id + involution)C and the F_C rows are
-    the reduced basis of C intersected with the fixed space; both are
-    the same objects for as long as the block does not change.
+    below ``_block_count``.  The twist values are the L of the selected
+    positions in the block, ``range(l0, 2^(a*t), step)``, and the code at
+    twist L is spanned by the F_C rows and ``_twist_rows(lifts, twist
+    basis, L)``.  Each met block is addressed by rank, so a shard costs
+    only the blocks it meets.  A block met before in this process is
+    read from the columns and the subspace table (see the module
+    docstring): the id of U by U's rank, the id of F_C by the block's
+    rank, each a reduced basis plus its complement.  A block met for the
+    first time is built and stored: U spanned by an echelon form over
+    the 2-cycle vectors, and F_C by the reduced U rows and an echelon
+    form over U's quotient.
+    The U rows are a reduced basis of U = (id + involution)C, the F_C
+    rows the reduced basis of C intersected with the fixed space, the
+    lifts the preimages of the U rows on the first point of each
+    2-cycle, and the twist basis F_C's complement in the fixed space.
     """
     if not 0 <= k <= n:
         raise InvalidInput(f"dimension {k} out of range for length {n}")
@@ -336,49 +360,39 @@ def _invariant_positions(
     d_fix = len(f_basis)
     pos = ordinal = 0
     for a, f, n_u, n_s in _bands(r, d_fix, k):
-        t = d_fix - f
-        block = 1 << (a * t)
+        block = 1 << (a * (d_fix - f))
         end = pos + n_u * n_s * block
-        first = max(start, start - (start - pos) // step * step)
+        idx = max(start, start - (start - pos) // step * step)
         u_col = _column(f_basis, a, a, n_u)
         fc_col = _column(f_basis, a, f, n_u * n_s)
-        u_at = fc_at = None
-        for idx in range(first, end, step):
-            at, lval = divmod(idx - pos, block)
-            if at != fc_at:
-                i_u, i_s = divmod(at, n_s)
-                if i_u != u_at:
-                    sid = u_col[i_u]
-                    if sid == NO_ID:
-                        u_basis = _span_rows(pairvecs, _echelon_at(r, a, i_u))
-                        sid, u_basis, quotient = _subspace(f_basis, u_basis)
-                        u_col[i_u] = sid
-                    else:
-                        u_basis, quotient = _rows_by_id[sid], _complement_by_id[sid]
-                    u_rows = list(u_basis)
-                    lifts = [x & half for x in u_basis]
-                    u_at = i_u
-                sid = fc_col[at]
+        u_at = None
+        while idx < end:
+            at, l0 = divmod(idx - pos, block)
+            lvals = range(l0, block, step)
+            idx += len(lvals) * step
+            i_u, i_s = divmod(at, n_s)
+            if i_u != u_at:
+                sid = u_col[i_u]
                 if sid == NO_ID:
-                    # the U rows are reduced already, so only the s rows go in
-                    fc_basis = u_rows
-                    for row in _span_rows(quotient, _echelon_at(d_fix - a, f - a, i_s)):
-                        fc_basis = _insert(fc_basis, row)
-                    fc_basis = sorted(fc_basis, key=lambda r: r & -r)
-                    sid, fc_rows, rbasis = _subspace(f_basis, fc_basis)
-                    fc_col[at] = sid
+                    u_basis = _span_rows(pairvecs, _echelon_at(r, a, i_u))
+                    sid, u_rows, quotient = _subspace(f_basis, u_basis)
+                    u_col[i_u] = sid
                 else:
-                    fc_rows, rbasis = _rows_by_id[sid], _complement_by_id[sid]
-                fc_at = at
-            wrows = []
-            for lift in lifts:
-                add = 0
-                for j in range(t):
-                    if lval & 1:
-                        add ^= rbasis[j]
-                    lval >>= 1
-                wrows.append(lift ^ add)
-            yield ordinal + at, u_rows, fc_rows, tuple(wrows)
+                    u_rows, quotient = _rows_by_id[sid], _complement_by_id[sid]
+                lifts = tuple([x & half for x in u_rows])
+                u_at = i_u
+            sid = fc_col[at]
+            if sid == NO_ID:
+                # the U rows are reduced already, so only the s rows go in
+                fc_basis = list(u_rows)
+                for row in _span_rows(quotient, _echelon_at(d_fix - a, f - a, i_s)):
+                    fc_basis = _insert(fc_basis, row)
+                fc_basis = sorted(fc_basis, key=lambda r: r & -r)
+                sid, fc_rows, twist_basis = _subspace(f_basis, fc_basis)
+                fc_col[at] = sid
+            else:
+                fc_rows, twist_basis = _rows_by_id[sid], _complement_by_id[sid]
+            yield ordinal + at, u_rows, fc_rows, lifts, twist_basis, lvals
         pos = end
         ordinal += n_u * n_s
 

@@ -34,7 +34,8 @@ from .autgroup import (
 )
 from .census import (
     _block_count,
-    _invariant_positions,
+    _invariant_blocks,
+    _twist_rows,
     enumerate_invariant,
     enumerate_sigma_invariant,
     enumerate_subspaces,
@@ -442,33 +443,36 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[tup
     code whose group is exactly <sigma>).
 
     The unit's codes sit at stream positions sidx + (unit + m*units)*stotal,
-    an arithmetic progression; the position walker addresses each of them
-    by rank, so the unit builds only its own codes, and a block it met
-    before costs two table reads.  ``_records[n, k]`` is the scan's one
-    memo per process: a list of block records and a dict of class
-    verdicts.  Each (U, F_C) block of the census gets its record, by the
+    an arithmetic progression; the block walker, ``census._invariant_blocks``,
+    yields each (U, F_C) block the progression meets once, with the unit's
+    twist values in it, so the unit builds only its own blocks, and a
+    block met before costs two table reads.  ``_records[n, k]`` is the
+    scan's one memo per process: a list of block records and a dict of
+    class verdicts.  Each block of the census gets its record, by the
     block ordinal, when the scan first meets it: its test (a) entry,
     ``autgroup._block_entry``.  A block whose flip kernel holds a pair
     flip other than the identity and sigma, among them every block the
-    cheap witnesses settle, holds the shared empty entry, and none of its
-    codes is built.  At n = 12, k = 5..7 that is 65320 slots, of which
-    1280 blocks get a nonempty entry.  In those, tests (a) and (b) are
-    decided once per pair flip class: the pair flips map a code to codes
-    of its block with the same verdict, and their twist residues fill a
-    coset of the entry's W (the ``autgroup`` module docstring).  The
-    class key packs the block ordinal below ``autgroup._flip_class``,
-    that coset's canonical word, and keys the verdict dict.  A class met
-    first is decided by ``autgroup._pairing_only``: test (a) and, only if
-    it passes, test (b) on the built code, the decision of
-    ``pairing_group_is_everything``.  The full n = 12 scan meets 7040
-    classes, 1440 of them hits, and its memo then holds about 0.45 MB.
-    Every code is still checked on its generator rows: at each block the
-    F_C rows must be fixed by sigma and the U rows must lie in F_C
-    (``NotInvariant``), and each twist row w must have w + w^sigma equal
-    to its U row.  So w + w^sigma lies in F_C, and w reads equal bits on
-    the pairs U misses, where the complement witness swaps them.  Each
-    hit is reported as its own reduced rows, plain ints that pass through
-    a worker pool as they are.
+    cheap witnesses settle, holds the shared empty entry, and its codes
+    are counted but never built.  At n = 12, k = 5..7 that is 65320
+    slots, of which 1280 blocks get a nonempty entry.  In those, tests (a)
+    and (b) are decided once per pair flip class: the pair flips map a
+    code to codes of its block with the same verdict, and their twist
+    residues fill a coset of the entry's W (the ``autgroup`` module
+    docstring).  The class key packs the block ordinal below
+    ``autgroup._flip_class``, that coset's canonical word, and keys the
+    verdict dict.  A class met first is decided by
+    ``autgroup._pairing_only``: test (a) and, only if it passes, test (b)
+    on the built code, the decision of ``pairing_group_is_everything``.
+    The full n = 12 scan meets 7040 classes, 1440 of them hits, and its
+    memo then holds about 0.45 MB.  Every block is checked on its rows:
+    the F_C rows must be fixed by sigma and the U rows must lie in F_C
+    (``NotInvariant``), each lift l must have l + l^sigma equal to its U
+    row, and each twist-basis row must be fixed by sigma.  By linearity
+    every twist row w of the block then has w + w^sigma equal to its U
+    row, so w + w^sigma lies in F_C, and w reads equal bits on the pairs
+    U misses, where the complement witness swaps them.  Each hit is
+    reported as its own reduced rows, plain ints that pass through a
+    worker pool as they are.
     """
     n, k, unit, units, sidx, stotal = args
     sigma = canonical_sigma(n)
@@ -482,33 +486,34 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[tup
     low_bits = int("01" * (n // 2), 2)
     scanned = 0
     hits: list[tuple[int, ...]] = []
-    block = -1
-    for ordinal, u_rows, fc_rows, wrows in _invariant_positions(
+    for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(
         n, k, sigma, sidx + unit * stotal, units * stotal
     ):
-        scanned += 1
-        if ordinal != block:
-            block = ordinal
-            for x in fc_rows:
-                if (x ^ x >> 1) & low_bits:
-                    raise NotInvariant("code is not invariant under the pairing involution")
-            for u in u_rows:
-                if _reduce(fc_rows, u):
-                    raise NotInvariant("code is not invariant under the pairing involution")
-            entry = records[ordinal]
-            if entry is None:
-                entry = records[ordinal] = _block_entry(n, u_rows, fc_rows)
-        for w, u in zip(wrows, u_rows):
+        scanned += len(lvals)
+        for x in fc_rows:
+            if (x ^ x >> 1) & low_bits:
+                raise NotInvariant("code is not invariant under the pairing involution")
+        for u in u_rows:
+            if _reduce(fc_rows, u):
+                raise NotInvariant("code is not invariant under the pairing involution")
+        # each lift w has w + w^sigma equal to its U row, and each
+        # twist-basis row w has w + w^sigma = 0
+        for w, u in zip(lifts + twist_basis, u_rows + (0,) * len(twist_basis)):
             if w ^ ((w & low_bits) << 1 | (w >> 1) & low_bits) != u:
                 raise RuntimeError("twist row does not lift its U row")
+        entry = records[ordinal]
+        if entry is None:
+            entry = records[ordinal] = _block_entry(n, u_rows, fc_rows)
         if not entry:
             continue
-        key = _flip_class(entry[0], n, fc_rows, wrows) << ordinal_bits | ordinal
-        hit = verdicts.get(key)
-        if hit is None:
-            hit = verdicts[key] = _pairing_only(entry, n, fc_rows, wrows)
-        if hit:
-            hits.append(_rref_ints(fc_rows + wrows))
+        for lval in lvals:
+            wrows = _twist_rows(lifts, twist_basis, lval)
+            key = _flip_class(entry[0], n, fc_rows, wrows) << ordinal_bits | ordinal
+            hit = verdicts.get(key)
+            if hit is None:
+                hit = verdicts[key] = _pairing_only(entry, n, fc_rows, wrows)
+            if hit:
+                hits.append(_rref_ints(fc_rows + wrows))
     return scanned, hits
 
 

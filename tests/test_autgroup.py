@@ -43,7 +43,8 @@ from pautkit.perm import (
 )
 from pautkit.census import (
     CensusSlice,
-    _invariant_positions,
+    _invariant_blocks,
+    _twist_rows,
     enumerate_sigma_invariant,
     enumerate_subspaces,
     shard,
@@ -396,40 +397,50 @@ def test_group_is_pairing_runs_the_involution_search(monkeypatch):
 
 
 def _cheap_verdicts(n, ks, index, total):
-    # (k, block ordinal, U rows, F_C rows, twist rows, whether the cheap
-    # witness ladder settles the code) of each position index, index +
-    # total, ... of the census of dimensions ks
+    # (k, block ordinal, U rows, F_C rows, codes) of each block that the
+    # positions index, index + total, ... of the census of dimensions ks
+    # meet; codes holds, per position in the block, its twist rows and
+    # whether the cheap witness ladder settles its code
     sigma = canonical_sigma(n)
     for k in ks:
-        for ordinal, u_rows, fc_rows, wrows in _invariant_positions(n, k, sigma, index, total):
-            code = LinearCode(n, _rref_ints(fc_rows + wrows))
-            settled = _cheap_witness(code, sigma) is not None
-            yield k, ordinal, tuple(u_rows), fc_rows, wrows, settled
+        for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(
+            n, k, sigma, index, total
+        ):
+            codes = []
+            for lval in lvals:
+                wrows = _twist_rows(lifts, twist_basis, lval)
+                code = LinearCode(n, _rref_ints(fc_rows + wrows))
+                codes.append((wrows, _cheap_witness(code, sigma) is not None))
+            yield k, ordinal, u_rows, fc_rows, codes
 
 
-def _blocks_by_cheap_witness(positions):
+def _blocks_by_cheap_witness(walks):
     # (U rows, F_C rows, whether the ladder settles a code of the block)
-    # per (k, block ordinal) of the positions of _cheap_verdicts
+    # per (k, block ordinal) of the blocks of _cheap_verdicts; a block
+    # that two walks meet is settled when either walk settles a code of it
     blocks = {}
-    for k, ordinal, u_rows, fc_rows, _wrows, settled in positions:
-        seen = blocks.get((k, ordinal))
-        blocks[k, ordinal] = (u_rows, fc_rows, settled or bool(seen and seen[2]))
+    for k, ordinal, u_rows, fc_rows, codes in walks:
+        seen = blocks.get((k, ordinal), (u_rows, fc_rows, False))[2]
+        blocks[k, ordinal] = (u_rows, fc_rows, seen or any(s for _w, s in codes))
     return blocks
 
 
 @lru_cache(maxsize=None)
 def _length12_slices():
-    # the positions of slices 0 and 37 of 100 at n = 12, k = 5..7: their
-    # blocks, by _blocks_by_cheap_witness, and by slice the (U rows, F_C
-    # rows, twist rows) of each position the cheap witness ladder leaves
-    # open; one walk for the tests that read them
-    positions = {
-        index: list(_cheap_verdicts(12, (5, 6, 7), index, 100)) for index in (0, 37)
-    }
-    blocks = _blocks_by_cheap_witness(positions[0] + positions[37])
+    # the blocks met by slices 0 and 37 of 100 at n = 12, k = 5..7, by
+    # _blocks_by_cheap_witness, and by slice the (U rows, F_C rows, twist
+    # rows) of each position the cheap witness ladder leaves open; one
+    # walk for the tests that read them
+    walks = {index: list(_cheap_verdicts(12, (5, 6, 7), index, 100)) for index in (0, 37)}
+    blocks = _blocks_by_cheap_witness(walks[0] + walks[37])
     opened = {
-        index: [position[2:5] for position in found if not position[5]]
-        for index, found in positions.items()
+        index: [
+            (u_rows, fc_rows, wrows)
+            for _k, _o, u_rows, fc_rows, codes in found
+            for wrows, settled in codes
+            if not settled
+        ]
+        for index, found in walks.items()
     }
     return blocks, opened
 
@@ -478,13 +489,7 @@ def test_missed_pair_gives_the_empty_entry_without_the_flip_map(monkeypatch):
     for n in (4, 6, 8):
         evens = ((1 << n) - 1) // 3
         for k in range(n + 1):
-            block = -1
-            for ordinal, u_rows, fc_rows, _wrows in _invariant_positions(
-                n, k, canonical_sigma(n), 0, 1
-            ):
-                if ordinal == block:
-                    continue
-                block = ordinal
+            for _o, u_rows, fc_rows, *_twists in _invariant_blocks(n, k, canonical_sigma(n), 0, 1):
                 support = 0
                 for u in u_rows:
                     support |= u
@@ -501,11 +506,13 @@ def test_missed_pair_gives_the_empty_entry_without_the_flip_map(monkeypatch):
 
 def _centraliser_verdict(code):
     # test (a) from the code's census block: True when an element of
-    # C(sigma) other than the identity and sigma fixes the code
+    # C(sigma) other than the identity and sigma fixes the code, which an
+    # empty entry means by itself
     n = code.n
     u_rows, fc_rows, wrows = _pairing_split(code)
     assert LinearCode(n, _rref_ints(fc_rows + wrows)) == code
-    return _centraliser_fixes(_block_entry(n, u_rows, fc_rows), n, fc_rows, wrows)
+    entry = _block_entry(n, u_rows, fc_rows)
+    return not entry or _centraliser_fixes(entry, n, fc_rows, wrows)
 
 
 def test_block_centraliser_test_equals_bruteforce():
@@ -554,9 +561,10 @@ def test_block_centraliser_test_on_length12_open_codes():
         found = 0
         for u_rows, fc_rows, wrows in positions:
             code = LinearCode(12, _rref_ints(fc_rows + wrows))
-            assert _pairing_split(code)[:2] == (tuple(u_rows), fc_rows)
+            assert _pairing_split(code)[:2] == (u_rows, fc_rows)
+            # a flip-only block has the empty entry, which fails (a)
             entry = _block_entry(12, u_rows, fc_rows)
-            passes = not _centraliser_fixes(entry, 12, fc_rows, wrows)
+            passes = bool(entry) and not _centraliser_fixes(entry, 12, fc_rows, wrows)
             assert passes == (find_automorphism_outside(code, allowed) is None)
             found += passes
         opened += len(positions)
@@ -574,7 +582,7 @@ def test_flip_only_blocks_have_pair_flip_automorphisms():
         for u_rows, fc_rows, wrows in positions:
             if _block_entry(12, u_rows, fc_rows) != ():
                 continue
-            blocks.add((tuple(u_rows), fc_rows))
+            blocks.add((u_rows, fc_rows))
             codes += 1
             code = LinearCode(12, _rref_ints(fc_rows + wrows))
             assert set(brute_pair_flips(code)) - {0, 63}

@@ -1,5 +1,5 @@
 import hashlib
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 
@@ -24,8 +24,9 @@ from pautkit.census import (
     _block_count,
     _complement_in,
     _echelon_forms,
-    _invariant_positions,
+    _invariant_blocks,
     _span_rows,
+    _twist_rows,
     _subspace,
 )
 from pautkit.gf2 import _rref_ints
@@ -280,7 +281,7 @@ def test_subspace_table_equals_direct_computation(cold_census_tables):
     for n, involution in spaces:
         # the walk fills the table first, so the lookups below are hits
         for k in range(n + 1):
-            for _ in _invariant_positions(n, k, involution, 0, 1):
+            for _ in _invariant_blocks(n, k, involution, 0, 1):
                 pass
         basis = _fixed_space_basis(n, involution)
         filled = len(census._rows_by_id)
@@ -298,19 +299,23 @@ def test_subspace_table_equals_direct_computation(cold_census_tables):
 def test_block_ordinals_number_the_blocks(cold_census_tables):
     beta = Perm.from_cycles("(1,2)(3,4)", 6)
     for n, k, involution in ((8, 4, canonical_sigma(8)), (8, 5, canonical_sigma(8)), (6, 3, beta)):
-        blocks = {}
-        last = -1
-        for ordinal, u_rows, fc_rows, _w in _invariant_positions(n, k, involution, 0, 1):
-            # ordinals rise through the stream, one per (U, F_C)
-            assert ordinal >= last
-            last = ordinal
-            block = (tuple(u_rows), fc_rows)
-            assert blocks.setdefault(ordinal, block) == block
-        assert sorted(blocks) == list(range(_block_count(n, k, involution)))
-        assert len(set(blocks.values())) == len(blocks)
-        # a sparse, warm walk reads the same blocks from the columns
-        for ordinal, u_rows, fc_rows, _w in _invariant_positions(n, k, involution, 3, 7):
-            assert blocks[ordinal] == (tuple(u_rows), fc_rows)
+        walk = list(_invariant_blocks(n, k, involution, 0, 1))
+        # the full walk yields every block once, in ordinal order, with
+        # all of its twist values
+        assert [block[0] for block in walk] == list(range(_block_count(n, k, involution)))
+        assert len({block[1:3] for block in walk}) == len(walk)
+        for _o, u_rows, _fc, lifts, twist_basis, lvals in walk:
+            assert lvals == range(1 << len(u_rows) * len(twist_basis))
+            assert len(lifts) == len(u_rows)
+        assert sum(len(block[5]) for block in walk) == invariant_subspace_count(n, k, involution)
+        # a sparse, warm walk reads the same blocks from the columns, and
+        # its twist values are the positions 3, 10, 17, ... in each block
+        starts = list(accumulate((len(block[5]) for block in walk), initial=0))
+        sparse = list(_invariant_blocks(n, k, involution, 3, 7))
+        for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in sparse:
+            assert walk[ordinal][1:5] == (u_rows, fc_rows, lifts, twist_basis)
+            assert list(lvals) == [l for l in walk[ordinal][5] if (starts[ordinal] + l) % 7 == 3]
+        assert sum(len(block[5]) for block in sparse) == len(range(3, starts[-1], 7))
 
 
 def test_n12_positions_are_frozen_and_table_stays_small(cold_census_tables):
@@ -322,8 +327,12 @@ def test_n12_positions_are_frozen_and_table_stays_small(cold_census_tables):
         # cold, then warm from the columns
         h = hashlib.sha256()
         for k in (5, 6, 7):
-            for _b, u_rows, fc_rows, wrows in _invariant_positions(12, k, sigma, 0, 100):
-                h.update(repr((u_rows, fc_rows, wrows)).encode())
+            for _b, u_rows, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(
+                12, k, sigma, 0, 100
+            ):
+                for lval in lvals:
+                    wrows = _twist_rows(lifts, twist_basis, lval)
+                    h.update(repr((list(u_rows), fc_rows, wrows)).encode())
         assert h.hexdigest() == "cd8ba44eea4213066d34715d431f74a9339cc5c8e5a319df60ad942eb88079fa"
     # at most one entry per subspace of the 6-dimensional fixed space
     assert 0 < len(census._rows_by_id) <= 2825
@@ -336,8 +345,9 @@ def test_subspace_table_stops_at_its_cap(cold_census_tables):
     beta = Perm.from_cycles("(1,2)", 8)
     for k in range(9):
         codes = {
-            LinearCode(8, _rref_ints(fc_rows + wrows))
-            for _b, _u, fc_rows, wrows in _invariant_positions(8, k, beta, 0, 1)
+            LinearCode(8, _rref_ints(fc_rows + _twist_rows(lifts, twist_basis, lval)))
+            for _b, _u, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(8, k, beta, 0, 1)
+            for lval in lvals
         }
         assert len(codes) == invariant_subspace_count(8, k, beta)
         assert all(image_code(c, beta) == c for c in codes)
@@ -356,14 +366,15 @@ def test_subspace_table_stops_at_its_cap(cold_census_tables):
 def test_long_band_allocates_no_column(cold_census_tables):
     # (1,2) at n = 12: the k = 6 band a = 0 has 3548836819 blocks, one
     # per F_C, far past the cap, so it is walked without a column
-    for _ in islice(_invariant_positions(12, 6, canonical_sigma(12), 0, 100), 50):
+    for _ in islice(_invariant_blocks(12, 6, canonical_sigma(12), 0, 100), 50):
         pass
     beta = Perm.from_cycles("(1,2)", 12)
     assert _block_count(12, 6, beta) > 3548836819
-    positions = list(islice(_invariant_positions(12, 6, beta, 0, 1), 50))
-    assert [p[0] for p in positions] == list(range(50))
-    for _b, _u, fc_rows, wrows in positions:
-        code = LinearCode(12, _rref_ints(fc_rows + wrows))
+    blocks = list(islice(_invariant_blocks(12, 6, beta, 0, 1), 50))
+    assert [b[0] for b in blocks] == list(range(50))
+    for _b, _u, fc_rows, lifts, twist_basis, lvals in blocks:
+        assert lvals == range(1)
+        code = LinearCode(12, _rref_ints(fc_rows + _twist_rows(lifts, twist_basis, 0)))
         assert image_code(code, beta) == code
     assert all(len(c) <= TABLE_CAP for c in census._columns.values())
     # the pairing's columns went when the walk moved to another space

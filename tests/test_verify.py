@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -20,14 +21,15 @@ from pautkit.autgroup import (
     _pairing_split,
 )
 from pautkit.census import (
-    _invariant_positions,
+    _invariant_blocks,
+    _twist_rows,
     enumerate_sigma_invariant,
     enumerate_subspaces,
     sigma_invariant_count,
 )
 from pautkit.fixed import _cheap_witness, fixed_subcode
 from pautkit.gf2 import _reduce, _rref_ints
-from pautkit.perm import canonical_sigma
+from pautkit.perm import _apply_bits, canonical_sigma
 from pautkit.verify import (
     Counterexample,
     check_dim1_codes,
@@ -565,12 +567,13 @@ def test_block_records_are_the_block_entries(cold_census_tables, monkeypatch):
     empty = set()
     nonempty = 0
     for (n, k), (records, _verdicts) in verify._records.items():
-        met = {}
-        for index, total in ((0, 1),) if n == 10 else ((0, 100), (37, 100)):
-            for ordinal, u_rows, fc_rows, _w in _invariant_positions(
+        met = {
+            ordinal: (u_rows, fc_rows)
+            for index, total in (((0, 1),) if n == 10 else ((0, 100), (37, 100)))
+            for ordinal, u_rows, fc_rows, *_twists in _invariant_blocks(
                 n, k, canonical_sigma(n), index, total
-            ):
-                met.setdefault(ordinal, (u_rows, fc_rows))
+            )
+        }
         for ordinal, (u_rows, fc_rows) in met.items():
             assert records[ordinal] == _block_entry(n, u_rows, fc_rows)
             if records[ordinal]:
@@ -595,7 +598,8 @@ def test_block_records_are_the_block_entries(cold_census_tables, monkeypatch):
 
 def _direct_verdict(entry, n, fc_rows, wrows):
     # test (a), then test (b) on the code if (a) passes: None when (a)
-    # settles the code, else whether (b) finds no other involution
+    # settles the code, else whether (b) finds no other involution; the
+    # entry is not empty
     if autgroup._centraliser_fixes(entry, n, fc_rows, wrows):
         return None
     code = LinearCode(n, _rref_ints(fc_rows + wrows))
@@ -611,18 +615,19 @@ def test_flip_classes_share_their_verdicts():
         sigma = canonical_sigma(n)
         codes = 0
         first = {}
-        entries = {}
         for k in range(n + 1):
-            for ordinal, u_rows, fc_rows, wrows in _invariant_positions(n, k, sigma, 0, 1):
-                if (k, ordinal) not in entries:
-                    entries[k, ordinal] = _block_entry(n, u_rows, fc_rows)
-                entry = entries[k, ordinal]
+            for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(
+                n, k, sigma, 0, 1
+            ):
+                entry = _block_entry(n, u_rows, fc_rows)
                 if not entry:
                     continue
-                codes += 1
-                key = (k, ordinal, autgroup._flip_class(entry[0], n, fc_rows, wrows))
-                verdict = _direct_verdict(entry, n, fc_rows, wrows)
-                assert first.setdefault(key, verdict) == verdict, (n, key)
+                for lval in lvals:
+                    wrows = _twist_rows(lifts, twist_basis, lval)
+                    codes += 1
+                    key = (k, ordinal, autgroup._flip_class(entry[0], n, fc_rows, wrows))
+                    verdict = _direct_verdict(entry, n, fc_rows, wrows)
+                    assert first.setdefault(key, verdict) == verdict, (n, key)
         tallies[n] = (codes, len(first), sum(v is True for v in first.values()))
     # (codes, classes, hit classes)
     assert tallies == {
@@ -646,15 +651,20 @@ def test_scan_decides_once_per_flip_class(monkeypatch):
         want = []
         for k in (5, 6, 7):
             for unit in range(verify._JOURNAL_UNITS):
-                for ordinal, u_rows, fc_rows, wrows in _invariant_positions(
+                for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(
                     12, k, sigma, index + unit * 100, verify._JOURNAL_UNITS * 100
                 ):
+                    # a memo of the entries, as blocks recur across units
                     if (k, ordinal) not in entries:
                         entries[k, ordinal] = _block_entry(12, u_rows, fc_rows)
                     entry = entries[k, ordinal]
-                    if entry and _direct_verdict(entry, 12, fc_rows, wrows):
-                        code = LinearCode(12, _rref_ints(fc_rows + wrows))
-                        want.append([str(g) for g in code.gens])
+                    if not entry:
+                        continue
+                    for lval in lvals:
+                        wrows = _twist_rows(lifts, twist_basis, lval)
+                        if _direct_verdict(entry, 12, fc_rows, wrows):
+                            code = LinearCode(12, _rref_ints(fc_rows + wrows))
+                            want.append([str(g) for g in code.gens])
         assert [ce["generators"] for ce in report["counterexamples"]] == want
         assert len(want) == hits
         reports[index] = report
@@ -679,31 +689,56 @@ def test_scan_decides_once_per_flip_class(monkeypatch):
 
 
 def _altered_walk(monkeypatch, alter):
-    # the census walk of verify, with each yielded position altered
-    walk = verify._invariant_positions
+    # the census block walk of verify, with each yielded block altered
+    walk = verify._invariant_blocks
     monkeypatch.setattr(verify, "_records", {})
     monkeypatch.setattr(
-        verify, "_invariant_positions", lambda *args: (alter(*pos) for pos in walk(*args))
+        verify, "_invariant_blocks", lambda *args: (alter(*block) for block in walk(*args))
     )
 
 
 def test_scan_rejects_a_twist_row_off_its_u_row(monkeypatch):
-    # bit 0 of the first twist row flipped: w + w^sigma is no longer its U row
+    # bit 0 of the first lift flipped: l + l^sigma is no longer its U row
     _altered_walk(
         monkeypatch,
-        lambda ordinal, u_rows, fc_rows, wrows: (
-            ordinal, u_rows, fc_rows, tuple(w ^ (i == 0) for i, w in enumerate(wrows))
+        lambda ordinal, u_rows, fc_rows, lifts, twist_basis, lvals: (
+            ordinal, u_rows, fc_rows, tuple(w ^ (i == 0) for i, w in enumerate(lifts)),
+            twist_basis, lvals,
         ),
     )
     with pytest.raises(RuntimeError, match="twist row"):
         _scan_unit((10, 5, 0, 1, 0, 1))
 
 
+def test_scan_rejects_a_twist_basis_row_outside_the_fixed_space(monkeypatch):
+    # bit 0 of every twist-basis row flipped: a basis row off Fix(sigma)
+    # gives twist rows w with w + w^sigma off their U rows
+    _altered_walk(
+        monkeypatch,
+        lambda ordinal, u_rows, fc_rows, lifts, twist_basis, lvals: (
+            ordinal, u_rows, fc_rows, lifts, tuple(x ^ 1 for x in twist_basis), lvals,
+        ),
+    )
+    with pytest.raises(RuntimeError, match="twist row"):
+        _scan_unit((10, 5, 0, 1, 0, 1))
+
+
+def test_scan_rejects_an_f_c_row_off_the_fixed_space(monkeypatch):
+    # the last coordinate alone appended to the F_C rows: sigma moves it,
+    # and each U row still reduces to 0 before the new row is reached
+    _altered_walk(
+        monkeypatch,
+        lambda ordinal, u_rows, fc_rows, *twists: (ordinal, u_rows, fc_rows + (1 << 9,), *twists),
+    )
+    with pytest.raises(NotInvariant):
+        _scan_unit((10, 5, 0, 1, 0, 1))
+
+
 def test_scan_rejects_a_u_row_outside_the_fixed_subcode(monkeypatch):
-    # a pair vector outside F_C appended to the U rows, past the twist rows
-    def outside(ordinal, u_rows, fc_rows, wrows):
+    # a pair vector outside F_C appended to the U rows, past the lifts
+    def outside(ordinal, u_rows, fc_rows, *twists):
         extra = [x for x in (3 << 2 * p for p in range(5)) if _reduce(fc_rows, x)]
-        return ordinal, u_rows + extra[:1], fc_rows, wrows
+        return ordinal, u_rows + tuple(extra[:1]), fc_rows, *twists
 
     _altered_walk(monkeypatch, outside)
     with pytest.raises(NotInvariant):
@@ -728,17 +763,19 @@ def test_length14_blocks_keep_their_own_records(monkeypatch):
     blocks = {}
     open_codes = 0
     searched_hits = []
-    for ordinal, u_rows, fc_rows, wrows in _invariant_positions(n, k, sigma, 0, step):
-        code = LinearCode(n, _rref_ints(fc_rows + wrows))
-        block = _pairing_split(code)[:2]
-        assert block == (tuple(u_rows), fc_rows)
-        assert blocks.setdefault(ordinal, block) == block
-        assert records[ordinal] == _block_entry(n, *block)
-        if _cheap_witness(code, sigma) is not None:
-            continue
-        open_codes += 1
-        if find_automorphism_outside(code, allowed) is None:
-            searched_hits.append(code)
+    for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(
+        n, k, sigma, 0, step
+    ):
+        blocks[ordinal] = (u_rows, fc_rows)
+        assert records[ordinal] == _block_entry(n, u_rows, fc_rows)
+        for lval in lvals:
+            code = LinearCode(n, _rref_ints(fc_rows + _twist_rows(lifts, twist_basis, lval)))
+            assert _pairing_split(code)[:2] == (u_rows, fc_rows)
+            if _cheap_witness(code, sigma) is not None:
+                continue
+            open_codes += 1
+            if find_automorphism_outside(code, allowed) is None:
+                searched_hits.append(code)
     # the ordinals map one-to-one onto the blocks
     assert len(set(blocks.values())) == len(blocks)
     assert open_codes == 521
@@ -755,30 +792,76 @@ def test_length14_blocks_keep_their_own_records(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.slow
-def test_length12_full_scan_totals(monkeypatch):
-    """Reproduces the full length-12 scan: 2410873 invariant codes at
-    dimensions 5..7, of which exactly 46080 (all of dimension 6) have
-    automorphism group exactly the pairing.  It runs twice, with 4
-    workers and then serially in this process from a cold memo, which
-    must meet 7040 pair flip classes, 1440 of them hits, and run test (b)
-    once per hit class.  About 25 CPU-s in all on 2 cores with Python
-    3.11.7: 7-9 s wall and 13-15 CPU-s with the workers, then 10-11 s
-    serially, 22 s for the whole test; CI runs it weekly and on demand."""
-    report = conjecture_search(12, jobs=4).to_dict()
-    assert report["scanned"] == 2410873
-    assert len(report["counterexamples"]) == 46080
-    dims = {LinearCode.from_strings(ce["generators"]).k for ce in report["counterexamples"]}
-    assert dims == {6}
-    monkeypatch.setattr(verify, "_records", {})
+@pytest.fixture(scope="module")
+def length12_serial_scan():
+    """The full serial n = 12 scan of this process from a cold memo: its
+    report, the verdict of every pair flip class it met, and the number
+    of test (b) searches it ran.  One scan for the tests that read it."""
     calls = []
     search = autgroup._other_pairing_involution
-    monkeypatch.setattr(
-        autgroup, "_other_pairing_involution", lambda code: calls.append(code) or search(code)
-    )
-    serial = conjecture_search(12).to_dict()
-    classes = [hit for _, verdicts in verify._records.values() for hit in verdicts.values()]
-    assert (len(classes), sum(classes), len(calls)) == (7040, 1440, 1440)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_records", {})
+        mp.setattr(
+            autgroup, "_other_pairing_involution", lambda code: calls.append(code) or search(code)
+        )
+        report = conjecture_search(12)
+        classes = [hit for _, verdicts in verify._records.values() for hit in verdicts.values()]
+    return report, classes, len(calls)
+
+
+def test_length12_full_scan_totals(length12_serial_scan):
+    """Reproduces the full length-12 scan: 2410873 invariant codes at
+    dimensions 5..7, of which exactly 46080 (all of dimension 6) have
+    automorphism group exactly the pairing.  From a cold memo it meets
+    7040 pair flip classes, 1440 of them hits, and runs test (b) once per
+    hit class.  About 4 CPU-s on 2 cores with Python 3.11.7."""
+    report, classes, searches = length12_serial_scan
+    assert report.scanned == 2410873
+    assert len(report.counterexamples) == 46080
+    assert {ce.code.k for ce in report.counterexamples} == {6}
+    assert (len(classes), sum(classes), searches) == (7040, 1440, 1440)
+
+
+def _centraliser_of_sigma(n):
+    # every element of C(sigma) = Z_2 wr S_{n/2} as an image tuple: a
+    # pair permutation pi, 2p -> 2pi(p) and 2p+1 -> 2pi(p)+1, then the
+    # flips of the pairs in a set x
+    m = n // 2
+    for pi in permutations(range(m)):
+        for x in range(1 << m):
+            yield tuple(2 * pi[i >> 1] + (i & 1 ^ x >> pi[i >> 1] & 1) for i in range(n))
+
+
+def test_length12_hits_are_two_isodual_classes(length12_serial_scan):
+    # README's record: the 46080 hits are the C(sigma)-orbits of the two
+    # representatives, 23040 codes each, disjoint, each closed under
+    # duality (so both classes are isodual), neither representative
+    # self-dual, minimum weight 3.  Every permutation equivalence between
+    # codes whose group is <sigma> lies in C(sigma), so these orbits are
+    # the classes
+    group = list(_centraliser_of_sigma(12))
+    assert len(set(group)) == 46080 and group[0] == tuple(range(12))
+    orbits = []
+    for rows in ORDER_TWO_LENGTH12_REPS:
+        code = LinearCode.from_strings(list(rows))
+        orbit = {_rref_ints(_apply_bits(g, r) for r in code.rows) for g in group}
+        assert len(orbit) == 23040
+        assert code.dual().rows in orbit and code.dual() != code
+        assert code.minimum_weight() == 3
+        orbits.append(orbit)
+    assert not orbits[0] & orbits[1]
+    report = length12_serial_scan[0]
+    assert {ce.code.rows for ce in report.counterexamples} == orbits[0] | orbits[1]
+
+
+@pytest.mark.slow
+def test_length12_parallel_scan_matches_serial(length12_serial_scan):
+    """The full length-12 scan with 4 workers, each with its own memo,
+    must give the serial report apart from elapsed_ms.  7-9 s wall and
+    13-15 CPU-s on 2 cores with Python 3.11.7; CI runs it on every push
+    and pull request, in the slow job."""
+    report = conjecture_search(12, jobs=4).to_dict()
+    serial = length12_serial_scan[0].to_dict()
     report.pop("elapsed_ms")
     serial.pop("elapsed_ms")
-    assert serial == report
+    assert report == serial
