@@ -19,10 +19,15 @@ band dim U = a, a block holds 2^(a t) codes, t = codim F_C.
 Everything the census scan decides is decided per block, so the walker,
 ``_invariant_blocks``, yields each block a shard meets once, with the
 shard's twist values L in it as a range, and ``_invariant_range``
-expands the blocks into codes.  A sparse shard still meets a new block
-at most of its positions: slice 0/100 of n = 12, k = 5..7 meets 18362
-blocks for 24110 codes.  So the walker builds each block once per
-process and keeps it in two tables:
+expands the blocks into codes.  A walk may end at an exclusive stop
+position.  The census scan's journal units are contiguous runs of a
+slice's positions (``verify._unit_positions``), so two units share at
+most the block where one run ends and the next begins: the 16 units of
+slice 0/100 of n = 12, k = 5..7 make 18371 block visits to 18362
+blocks for 24110 codes, and the units of the whole stream 65364 visits
+to 65320 blocks.  A sparse shard still meets a new block at most of its
+positions, so the walker builds each block once per process and keeps
+it in two tables:
 
 * the subspace table, one entry per subspace of the fixed space met so
   far: its reduced rows and the complement the walker counts in (for
@@ -319,21 +324,23 @@ def _twist_rows(lifts: Sequence[int], twist_basis: Sequence[int], lval: int) -> 
 
 
 def _invariant_blocks(
-    n: int, k: int, involution: Perm, start: int, step: int
+    n: int, k: int, involution: Perm, start: int, step: int, stop: int | None = None
 ) -> Iterator[tuple[int, tuple, tuple, tuple, tuple, range]]:
-    """The blocks (U, F_C) that positions start, start+step, ... of the
-    invariant census meet, each once and in stream order, as (block
-    ordinal, U rows, F_C rows, lifts, twist basis, twist values).
+    """The blocks (U, F_C) that positions start, start+step, ... below
+    ``stop`` (the whole stream when None) of the invariant census meet,
+    each once and in stream order, as (block ordinal, U rows, F_C rows,
+    lifts, twist basis, twist values).
 
     The stream walks U, then F_C, then the twist matrix L as a binary
     counter.  In the band dim U = a, position (iU*n_S + iS)*2^(a*t) + L of
     the band holds the iU-th U, its iS-th F_C (of n_S) and twist L; the
     block ordinal numbers the blocks (U, F_C) in stream order, from 0
     below ``_block_count``.  The twist values are the L of the selected
-    positions in the block, ``range(l0, 2^(a*t), step)``, and the code at
-    twist L is spanned by the F_C rows and ``_twist_rows(lifts, twist
-    basis, L)``.  Each met block is addressed by rank, so a shard costs
-    only the blocks it meets.  A block met before in this process is
+    positions in the block, ``range(l0, 2^(a*t), step)``, clipped in the
+    block that holds ``stop``, and the code at twist L is spanned by the
+    F_C rows and ``_twist_rows(lifts, twist basis, L)``.  The walk ends
+    with the band that holds ``stop``.  Each met block is addressed by
+    rank, so a shard costs only the blocks it meets.  A block met before in this process is
     read from the columns and the subspace table (see the module
     docstring): the id of U by U's rank, the id of F_C by the block's
     rank, each a reduced basis plus its complement.  A block met for the
@@ -351,6 +358,8 @@ def _invariant_blocks(
         raise TooLarge(f"invariant enumeration limited to length {LENGTH_GUARD}")
     if start < 0 or step < 1:
         raise InvalidInput("need start >= 0 and step >= 1")
+    if stop is None:
+        stop = invariant_subspace_count(n, k, involution)
     cycles, fixed_pts = _cycles_and_fixed(n, involution)
     pairvecs = [(1 << a) | (1 << b) for a, b in cycles]
     f_basis = tuple(pairvecs + [1 << c for c in fixed_pts])
@@ -361,14 +370,15 @@ def _invariant_blocks(
     pos = ordinal = 0
     for a, f, n_u, n_s in _bands(r, d_fix, k):
         block = 1 << (a * (d_fix - f))
-        end = pos + n_u * n_s * block
+        band_end = pos + n_u * n_s * block
+        end = min(band_end, stop)
         idx = max(start, start - (start - pos) // step * step)
         u_col = _column(f_basis, a, a, n_u)
         fc_col = _column(f_basis, a, f, n_u * n_s)
         u_at = None
         while idx < end:
             at, l0 = divmod(idx - pos, block)
-            lvals = range(l0, block, step)
+            lvals = range(l0, min(block, end - idx + l0), step)
             idx += len(lvals) * step
             i_u, i_s = divmod(at, n_s)
             if i_u != u_at:
@@ -393,7 +403,9 @@ def _invariant_blocks(
             else:
                 fc_rows, twist_basis = _rows_by_id[sid], _complement_by_id[sid]
             yield ordinal + at, u_rows, fc_rows, lifts, twist_basis, lvals
-        pos = end
+        if band_end >= stop:
+            return
+        pos = band_end
         ordinal += n_u * n_s
 
 

@@ -39,6 +39,7 @@ from .census import (
     enumerate_invariant,
     enumerate_sigma_invariant,
     enumerate_subspaces,
+    sigma_invariant_count,
 )
 from .errors import InvalidInput, NotInvariant, TooLarge
 from .fixed import (
@@ -62,6 +63,10 @@ from .perm import (
 
 CONJECTURE_LENGTH_GUARD = 12
 _JOURNAL_UNITS = 16
+# The journal layout: 2 since each unit is a contiguous run of its
+# slice's positions (``_unit_positions``); a journal without it was
+# written with interleaved units and covers other positions per unit.
+_JOURNAL_VERSION = 2
 
 # The scan's memo by (n, k) (see ``_scan_unit``): the test (a) entry of
 # each census block of the pairing by block ordinal, None until a scan of
@@ -438,17 +443,33 @@ def pairing_group_is_everything(code: LinearCode, sigma: Perm) -> bool:
     return _pairing_only(_block_entry(n, u_rows, fc_rows), n, fc_rows, wrows)
 
 
+def _unit_positions(
+    n: int, k: int, unit: int, units: int, sidx: int, stotal: int
+) -> tuple[int, int, int]:
+    """(start, step, stop) of journal unit ``unit`` of ``units`` in the
+    k-dimensional stream of slice sidx/stotal: of the c positions
+    sidx + m*stotal the slice holds, the unit takes the contiguous run
+    unit*c//units <= m < (unit+1)*c//units."""
+    c = len(range(sidx, sigma_invariant_count(n, k), stotal))
+    return (
+        sidx + unit * c // units * stotal,
+        stotal,
+        sidx + (unit + 1) * c // units * stotal,
+    )
+
+
 def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
     """Scan one journal unit; returns (scanned, the reduced rows of each
-    code whose group is exactly <sigma>).
+    code whose group is exactly <sigma>), in stream order.
 
-    The unit's codes sit at stream positions sidx + (unit + m*units)*stotal,
-    an arithmetic progression; the block walker, ``census._invariant_blocks``,
-    yields each (U, F_C) block the progression meets once, with the unit's
-    twist values in it, so the unit builds only its own blocks, and a
-    block met before costs two table reads.  ``_records[n, k]`` is the
-    scan's one memo per process: a list of block records and a dict of
-    class verdicts.  Each block of the census gets its record, by the
+    The unit's codes are a contiguous run of its slice's stream
+    positions (``_unit_positions``); the block walker,
+    ``census._invariant_blocks``, yields each (U, F_C) block the run
+    meets once, with the unit's twist values in it, so the unit builds
+    only its own blocks, a block met before costs two table reads, and
+    a unit shares only the blocks at the ends of its run with the units
+    next to it.  ``_records[n, k]`` is the scan's one memo per process:
+    a list of block records and a dict of class verdicts.  Each block of the census gets its record, by the
     block ordinal, when the scan first meets it: its test (a) entry,
     ``autgroup._block_entry``.  A block whose flip kernel holds a pair
     flip other than the identity and sigma, among them every block the
@@ -474,7 +495,7 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[tup
     reported as its own reduced rows, plain ints that pass through a
     worker pool as they are.
     """
-    n, k, unit, units, sidx, stotal = args
+    n, k = args[:2]
     sigma = canonical_sigma(n)
     memo = _records.get((n, k))
     if memo is None:
@@ -487,7 +508,7 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[tup
     scanned = 0
     hits: list[tuple[int, ...]] = []
     for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(
-        n, k, sigma, sidx + unit * stotal, units * stotal
+        n, k, sigma, *_unit_positions(*args)
     ):
         scanned += len(lvals)
         for x in fc_rows:
@@ -524,6 +545,7 @@ def _journal_config(n: int, lo: int, hi: int, slice_: tuple[int, int]) -> dict:
         "k_hi": hi,
         "slice": list(slice_),
         "units": _JOURNAL_UNITS,
+        "version": _JOURNAL_VERSION,
     }
 
 
@@ -639,9 +661,14 @@ def conjecture_search(
     without rescanning; ``scanned`` counts only this invocation's work
     while counterexamples aggregate the journal too.  The journal is
     locked for the whole call, and a second scan on a locked journal
-    raises ``InvalidInput`` without touching it.  A hit of this call is
-    built once from the rows the scan returns; only the counterexamples
-    read back from the journal are parsed from their strings.
+    raises ``InvalidInput`` without touching it, as does a journal of
+    another configuration or unit layout (``_JOURNAL_VERSION``).  Each
+    unit is a contiguous run of the slice's positions of one k
+    (``_unit_positions``), so the hits come in stream order per k, and
+    a pool holds at most one worker per pending unit.  A hit of this
+    call is built once from the rows the scan returns; only the
+    counterexamples read back from the journal are parsed from their
+    strings.
     """
     t0 = time.monotonic()
     _require_even(n)
@@ -680,7 +707,7 @@ def conjecture_search(
             # imported here: a serial scan or an analyze has no use for it
             import multiprocessing
 
-            pool = multiprocessing.Pool(jobs)
+            pool = multiprocessing.Pool(min(jobs, len(work)))
         with pool:
             results = pool.imap(_scan_unit, work) if parallel else map(_scan_unit, work)
             for (k, u), (scanned, hits) in zip(todo, results):

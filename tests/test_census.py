@@ -241,22 +241,56 @@ def test_invariant_range_with_fixed_points_matches_index_filter():
 
 def test_slice_units_sum_to_closed_form_coverage():
     # walk only, no witness ladder: the journal units of one n = 12 slice
-    # cover exactly the slice's positions of each census stream
-    from pautkit.census import _invariant_range
-    from pautkit.verify import _JOURNAL_UNITS
+    # partition the slice's positions of each census stream into
+    # contiguous runs, in unit order, and the walk yields each run
+    from pautkit.verify import _JOURNAL_UNITS, _unit_positions
 
     sigma = canonical_sigma(12)
     idx, total = 37, 100
     walked = coverage = 0
     for k in (5, 6, 7):
         stream = sigma_invariant_count(12, k)
-        coverage += len(range(idx, stream, total))
-        for u in range(_JOURNAL_UNITS):
-            start, step = idx + u * total, _JOURNAL_UNITS * total
-            got = sum(1 for _ in _invariant_range(12, k, sigma, start, step))
-            assert got == len(range(start, stream, step))
+        slice_positions = range(idx, stream, total)
+        coverage += len(slice_positions)
+        runs = [
+            _unit_positions(12, k, u, _JOURNAL_UNITS, idx, total) for u in range(_JOURNAL_UNITS)
+        ]
+        assert all(step == total for _start, step, _stop in runs)
+        positions = [range(start, min(stop, stream), step) for start, step, stop in runs]
+        assert [p for run in positions for p in run] == list(slice_positions)
+        for (start, step, stop), run in zip(runs, positions):
+            got = sum(len(b[5]) for b in _invariant_blocks(12, k, sigma, start, step, stop))
+            assert got == len(run)
             walked += got
     assert walked == coverage
+
+
+def test_unit_walks_visit_each_block_once():
+    # the block visits of the n = 12 journal units, walker only: no unit
+    # yields a block twice, and units that are contiguous runs share only
+    # the blocks at their ends, so per k the visits exceed the blocks met
+    # by at most units - 1
+    from pautkit.verify import _JOURNAL_UNITS, _unit_positions
+
+    sigma = canonical_sigma(12)
+    totals = {}
+    for idx, total in ((0, 100), (0, 1)):
+        visits = blocks = 0
+        for k in (5, 6, 7):
+            met = set()
+            k_visits = 0
+            for u in range(_JOURNAL_UNITS):
+                run = _unit_positions(12, k, u, _JOURNAL_UNITS, idx, total)
+                ordinals = [b[0] for b in _invariant_blocks(12, k, sigma, *run)]
+                assert len(set(ordinals)) == len(ordinals)
+                k_visits += len(ordinals)
+                met.update(ordinals)
+            assert k_visits <= len(met) + _JOURNAL_UNITS - 1
+            visits += k_visits
+            blocks += len(met)
+        totals[idx, total] = (visits, blocks)
+    # (visits, blocks met) of slice 0/100 and of the full walk, k = 5..7
+    assert totals == {(0, 100): (18371, 18362), (0, 1): (65364, 65320)}
 
 
 def _fixed_space_basis(n, involution):

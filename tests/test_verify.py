@@ -1,6 +1,6 @@
 import json
 from collections import Counter
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
@@ -351,6 +351,57 @@ def test_conjecture_journal_rejects_other_config(tmp_path):
         conjecture_search(10, slice_=(1, 2), journal_path=str(journal))
 
 
+def test_conjecture_journal_of_interleaved_units_is_refused(tmp_path, capsys):
+    # a journal written before units were contiguous runs: its config has
+    # no version, and its unit records cover other positions, so it must
+    # be refused with exit 2 and left as it was
+    from pautkit.cli import main
+
+    config = {key: v for key, v in _journal_config(10, 5, 5, (0, 1)).items() if key != "version"}
+    journal = tmp_path / "old.ndjson"
+    journal.write_text(_journal_text({"type": "config", "config": config}, N10_UNIT))
+    before = journal.read_bytes()
+    with pytest.raises(InvalidInput, match="different configuration"):
+        conjecture_search(10, journal_path=str(journal))
+    assert main(["conjecture", "--n", "10", "--journal", str(journal)]) == 2
+    assert "different configuration" in capsys.readouterr().err
+    assert journal.read_bytes() == before
+
+
+def test_conjecture_pool_holds_at_most_the_pending_units(tmp_path, monkeypatch):
+    # a stand-in pool that records its size and maps in this process: a
+    # huge --jobs asks for one worker per pending unit, never more
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable):
+            return map(func, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    serial = conjecture_search(10).to_dict()
+    parallel = conjecture_search(10, jobs=100000).to_dict()
+    assert sizes == [16]
+    serial.pop("elapsed_ms")
+    parallel.pop("elapsed_ms")
+    assert parallel == serial
+    # a journal with 14 of its 16 units done leaves two to scan
+    journal = tmp_path / "part.ndjson"
+    journal.write_text(_journal_text(*N10_FINISHED[:15]))
+    assert conjecture_search(10, jobs=100000, journal_path=str(journal)).ok
+    assert sizes == [16, 2]
+
+
 def test_conjecture_parallel_matches_serial(tmp_path):
     serial = conjecture_search(10, journal_path=str(tmp_path / "serial.ndjson"))
     parallel = conjecture_search(10, jobs=2, journal_path=str(tmp_path / "par.ndjson"))
@@ -395,22 +446,24 @@ def test_scan_unit_matches_per_code_ladder():
     # the block-level scan of one journal unit per k of the n = 12 slice
     # 0/100 against the full automorphism search over the same stream
     # positions, so that the scan's centraliser-first test is checked
-    # against an oracle that does not share it
+    # against an oracle that does not share it.  Unit 7 holds a run of
+    # k = 6 positions with hits (unit 0 holds none)
     from pautkit import Perm, find_automorphism_outside
     from pautkit.census import _invariant_range
-    from pautkit.verify import _JOURNAL_UNITS, _scan_unit
+    from pautkit.verify import _JOURNAL_UNITS, _scan_unit, _unit_positions
 
     sigma = canonical_sigma(12)
     allowed = (Perm.identity(12), sigma)
-    unit, idx, total = 0, 0, 100
+    unit, idx, total = 7, 0, 100
     hits = 0
     for k in (5, 6, 7):
-        start, step = idx + unit * total, _JOURNAL_UNITS * total
-        codes = list(_invariant_range(12, k, sigma, start, step))
+        start, step, stop = _unit_positions(12, k, unit, _JOURNAL_UNITS, idx, total)
+        run = len(range(start, stop, step))
+        codes = list(islice(_invariant_range(12, k, sigma, start, step), run))
         want = [c.rows for c in codes if find_automorphism_outside(c, allowed) is None]
         assert _scan_unit((12, k, unit, _JOURNAL_UNITS, idx, total)) == (len(codes), want)
         hits += len(want)
-    assert hits == 34
+    assert hits == 83
 
 
 # Representatives of the two permutation-equivalence classes of [12,6]
@@ -641,30 +694,26 @@ def test_flip_classes_share_their_verdicts():
 
 def test_scan_decides_once_per_flip_class(monkeypatch):
     # n = 12 slices 0 and 37 of 100 from a cold memo: the scan's hits,
-    # in order, equal a per-code run of both tests over the same positions
+    # in order, equal a per-code run of both tests over the slice's
+    # positions of each k, in stream order
     monkeypatch.setattr(verify, "_records", {})
     sigma = canonical_sigma(12)
-    entries = {}
     reports = {}
     for index, hits in ((0, 433), (37, 493)):
         report = conjecture_search(12, slice_=(index, 100)).to_dict()
         want = []
         for k in (5, 6, 7):
-            for unit in range(verify._JOURNAL_UNITS):
-                for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(
-                    12, k, sigma, index + unit * 100, verify._JOURNAL_UNITS * 100
-                ):
-                    # a memo of the entries, as blocks recur across units
-                    if (k, ordinal) not in entries:
-                        entries[k, ordinal] = _block_entry(12, u_rows, fc_rows)
-                    entry = entries[k, ordinal]
-                    if not entry:
-                        continue
-                    for lval in lvals:
-                        wrows = _twist_rows(lifts, twist_basis, lval)
-                        if _direct_verdict(entry, 12, fc_rows, wrows):
-                            code = LinearCode(12, _rref_ints(fc_rows + wrows))
-                            want.append([str(g) for g in code.gens])
+            for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(
+                12, k, sigma, index, 100
+            ):
+                entry = _block_entry(12, u_rows, fc_rows)
+                if not entry:
+                    continue
+                for lval in lvals:
+                    wrows = _twist_rows(lifts, twist_basis, lval)
+                    if _direct_verdict(entry, 12, fc_rows, wrows):
+                        code = LinearCode(12, _rref_ints(fc_rows + wrows))
+                        want.append([str(g) for g in code.gens])
         assert [ce["generators"] for ce in report["counterexamples"]] == want
         assert len(want) == hits
         reports[index] = report
@@ -814,7 +863,7 @@ def test_length12_full_scan_totals(length12_serial_scan):
     dimensions 5..7, of which exactly 46080 (all of dimension 6) have
     automorphism group exactly the pairing.  From a cold memo it meets
     7040 pair flip classes, 1440 of them hits, and runs test (b) once per
-    hit class.  About 4 CPU-s on 2 cores with Python 3.11.7."""
+    hit class.  About 2 CPU-s on 2 cores with Python 3.11.7."""
     report, classes, searches = length12_serial_scan
     assert report.scanned == 2410873
     assert len(report.counterexamples) == 46080
@@ -857,8 +906,8 @@ def test_length12_hits_are_two_isodual_classes(length12_serial_scan):
 @pytest.mark.slow
 def test_length12_parallel_scan_matches_serial(length12_serial_scan):
     """The full length-12 scan with 4 workers, each with its own memo,
-    must give the serial report apart from elapsed_ms.  7-9 s wall and
-    13-15 CPU-s on 2 cores with Python 3.11.7; CI runs it on every push
+    must give the serial report apart from elapsed_ms.  About 2.5 s wall
+    and 3 CPU-s on 2 cores with Python 3.11.7; CI runs it on every push
     and pull request, in the slow job."""
     report = conjecture_search(12, jobs=4).to_dict()
     serial = length12_serial_scan[0].to_dict()
