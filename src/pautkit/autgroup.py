@@ -97,9 +97,11 @@ is f_x and fixes the block's codes exactly when x is in the kernel.  So
 one entry is the block's whole verdict for (a).  ``_block_entry``
 computes the kernel, W and K of a block (U, F_C) (from
 ``_automorphism_images`` of U as a code of length n/2, filtered by F_C)
-and keeps nothing; the census scan keeps it in its memo
-(``verify._records``), so it runs once per block per process, and
-``_centraliser_fixes`` then costs a few reductions per element of K.
+and keeps nothing; the census scan keeps it in its block record
+(``verify._records``), with the block's F_C rows, lifts and twist basis
+when it is not empty.  The scan builds a block's rows only for a block
+without a record, so the entry runs once per block per process, and
+``_centraliser_fixes`` costs a few reductions per element of K.
 
 Both tests answer alike on each pair flip class of a block.  A flip f_x
 lies in C(sigma) and fixes Fix(sigma) >= F_C >= U pointwise, so f_x C

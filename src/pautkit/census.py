@@ -18,47 +18,29 @@ band dim U = a, a block holds 2^(a t) codes, t = codim F_C.
 
 Everything the census scan decides is decided per block, so the walker,
 ``_invariant_blocks``, yields each block a shard meets once, with the
-shard's twist values L in it as a range, and ``_invariant_range``
-expands the blocks into codes.  A walk may end at an exclusive stop
-position.  The census scan's journal units are contiguous runs of a
-slice's positions (``verify._unit_positions``), so two units share at
-most the block where one run ends and the next begins: the 16 units of
-slice 0/100 of n = 12, k = 5..7 make 18371 block visits to 18362
-blocks for 24110 codes, and the units of the whole stream 65364 visits
-to 65320 blocks.  A sparse shard still meets a new block at most of its
-positions, so the walker builds each block once per process and keeps
-it in two tables:
-
-* the subspace table, one entry per subspace of the fixed space met so
-  far: its reduced rows and the complement the walker counts in (for
-  U, the quotient the F_C are counted in; for F_C, the twist basis),
-  with the words and the equal complements stored once;
-* the columns, one ``array('H')`` per band (dim U, dim F_C) of the
-  fixed space: the subspace id of F_C per block rank.  The band
-  (a, a) holds U = F_C, so its column doubles as U's id per U rank.
-
-Both are keyed by tuples of the rows themselves (the fixed space's
-basis, the subspace's reduced rows), so no key depends on the length.
-A revisited block then costs two array reads.  At n = 12 under the
-pairing the table holds the 2825 subspaces of the 6-dimensional fixed
-space, and the columns of k = 5..7 the ids of 65320 blocks (13412 of
-them with a U that meets every pair, 1280 of those with a nonempty
-test (a) entry, ``autgroup._block_entry``); filled, both take 0.62 MB
-(tracemalloc, Python 3.11), and the columns 0.13 MB of it.  A table or band
-larger than ``TABLE_CAP`` entries is walked without storing: past the
-cap a subspace and its complement are computed at each visit.  The
-columns of one fixed space are kept at a time, so their memory is
-bounded too.
+shard's twist values L in it as a range and a function that builds the
+block's rows, and ``_invariant_range`` expands the blocks into codes.
+A walk may end at an exclusive stop position.  The census scan's
+journal units are contiguous runs of a slice's positions
+(``verify._unit_positions``), so two units share at most the block
+where one run ends and the next begins: the 16 units of slice 0/100 of
+n = 12, k = 5..7 make 18371 block visits to 18362 blocks for 24110
+codes, and the units of the whole stream 65364 visits to 65320 blocks.
+A block's rows are built only when asked for.  Within one walk U is
+built once per U rank and, for an involution without fixed points,
+each F_C's complement once; nothing outlives the walk but
+``_echelon_layout``'s cache.  The scan keeps what it needs of a block
+in its own memo (``verify._records``), so a block it has met before
+costs no rows.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import InvalidInput, TooLarge
 from .gf2 import LinearCode, _insert, _rref_ints
@@ -66,24 +48,6 @@ from .perm import Perm, canonical_sigma, is_involution
 
 LENGTH_GUARD = 12
 COUNT_GUARD = 10**9
-# Most entries the subspace table holds, and the longest column stored:
-# above the 2825 subspaces of the pairing's fixed space at n = 12 and
-# its largest band (22785 blocks at k = 6), and below NO_ID.
-TABLE_CAP = 24576
-# A column entry whose subspace id is not known yet.
-NO_ID = 0xFFFF
-
-# The subspace table: ids by space basis and reduced rows, and the rows
-# and the complement by id.  Words and equal complements are stored
-# once, in _words and _complement_values.
-_subspace_ids: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-_rows_by_id: list[tuple[int, ...]] = []
-_complement_by_id: list[tuple[int, ...]] = []
-_words: dict[int, int] = {}
-_complement_values: dict[tuple[int, ...], tuple[int, ...]] = {}
-# Columns of subspace ids by (space basis, dim U, dim F_C), all of one space.
-_columns: dict[tuple[tuple[int, ...], int, int], array] = {}
-
 
 def gaussian_binomial(n: int, k: int) -> int:
     """Number of k-dimensional subspaces of GF(2)^n."""
@@ -220,8 +184,7 @@ def _complement_in(space_basis: Sequence[int], sub_rows: Sequence[int]) -> tuple
     ``gf2._insert``; the walker passes one for both of its subspaces (F_C
     rows from ``_insert``, and U rows spanned by an echelon form over
     the 2-cycle vectors, whose lowest bits increase with the cycle), so
-    it is taken as given.  The walker asks through the subspace table,
-    ``_subspace``, which calls this once per subspace.
+    it is taken as given.
     """
     basis = list(sub_rows)
     comp = []
@@ -231,60 +194,6 @@ def _complement_in(space_basis: Sequence[int], sub_rows: Sequence[int]) -> tuple
             comp.append(grown[-1])
             basis = grown
     return tuple(comp)
-
-
-def _subspace(
-    space: tuple[int, ...], sub_rows: Sequence[int]
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """The id, the rows and the complement ``_complement_in(space,
-    sub_rows)`` of a subspace in the subspace table; ``space`` is the
-    basis of the space and ``sub_rows`` the subspace's reduced basis.
-
-    A new subspace is stored only while the table holds fewer than
-    TABLE_CAP entries; past the cap its rows and complement are computed
-    and its id is NO_ID.
-    """
-    rows = tuple(sub_rows)
-    ids = _subspace_ids.get(space)
-    sid = ids.get(rows) if ids else None
-    if sid is not None:
-        return sid, _rows_by_id[sid], _complement_by_id[sid]
-    rows = tuple([_words.setdefault(w, w) for w in rows])
-    comp = tuple([_words.setdefault(w, w) for w in _complement_in(space, rows)])
-    comp = _complement_values.setdefault(comp, comp)
-    if len(_rows_by_id) >= TABLE_CAP:
-        return NO_ID, rows, comp
-    sid = len(_rows_by_id)
-    _subspace_ids.setdefault(space, {})[rows] = sid
-    _rows_by_id.append(rows)
-    _complement_by_id.append(comp)
-    return sid, rows, comp
-
-
-class _Unstored:
-    """The column of a band longer than TABLE_CAP: nothing is stored."""
-
-    def __getitem__(self, rank: int) -> int:
-        return NO_ID
-
-    def __setitem__(self, rank: int, sid: int) -> None:
-        pass
-
-
-def _column(space: tuple[int, ...], a: int, f: int, size: int) -> array | _Unstored:
-    """The column of subspace ids of the band (dim U = a, dim F_C = f) of
-    a fixed space, one entry per block rank, NO_ID until the block is
-    first met.  Columns of an earlier space are dropped when a new space
-    gets one, and a band of more than TABLE_CAP blocks gets none."""
-    if size > TABLE_CAP:
-        return _Unstored()
-    key = (space, a, f)
-    col = _columns.get(key)
-    if col is None:
-        if _columns and next(iter(_columns))[0] != space:
-            _columns.clear()
-        col = _columns[key] = array("H", [NO_ID]) * size
-    return col
 
 
 def enumerate_invariant(n: int, k: int, involution: Perm) -> Iterator[LinearCode]:
@@ -304,7 +213,8 @@ def _invariant_range(
     """Stream positions start, start+step, ... of the invariant census,
     each block of ``_invariant_blocks`` expanded into the codes spanned
     by its F_C rows and the twist rows of each of its twist values."""
-    for *_, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(n, k, involution, start, step):
+    for _ordinal, lvals, rows in _invariant_blocks(n, k, involution, start, step):
+        _u_rows, fc_rows, lifts, twist_basis = rows()
         for lval in lvals:
             yield LinearCode(n, _rref_ints(fc_rows + _twist_rows(lifts, twist_basis, lval)))
 
@@ -325,11 +235,12 @@ def _twist_rows(lifts: Sequence[int], twist_basis: Sequence[int], lval: int) -> 
 
 def _invariant_blocks(
     n: int, k: int, involution: Perm, start: int, step: int, stop: int | None = None
-) -> Iterator[tuple[int, tuple, tuple, tuple, tuple, range]]:
+) -> Iterator[tuple[int, range, Callable[[], tuple]]]:
     """The blocks (U, F_C) that positions start, start+step, ... below
     ``stop`` (the whole stream when None) of the invariant census meet,
-    each once and in stream order, as (block ordinal, U rows, F_C rows,
-    lifts, twist basis, twist values).
+    each once and in stream order, as (block ordinal, twist values,
+    rows), where ``rows()`` builds the block's (U rows, F_C rows, lifts,
+    twist basis).
 
     The stream walks U, then F_C, then the twist matrix L as a binary
     counter.  In the band dim U = a, position (iU*n_S + iS)*2^(a*t) + L of
@@ -340,13 +251,13 @@ def _invariant_blocks(
     block that holds ``stop``, and the code at twist L is spanned by the
     F_C rows and ``_twist_rows(lifts, twist basis, L)``.  The walk ends
     with the band that holds ``stop``.  Each met block is addressed by
-    rank, so a shard costs only the blocks it meets.  A block met before in this process is
-    read from the columns and the subspace table (see the module
-    docstring): the id of U by U's rank, the id of F_C by the block's
-    rank, each a reduced basis plus its complement.  A block met for the
-    first time is built and stored: U spanned by an echelon form over
+    rank, so a shard costs only the blocks it meets, and ``rows()``
+    builds a block only when called: U spanned by an echelon form over
     the 2-cycle vectors, and F_C by the reduced U rows and an echelon
-    form over U's quotient.
+    form over U's quotient.  A walk builds U once per U rank and, for
+    an involution without fixed points, each F_C's complement once, and
+    keeps them until it ends.
+
     The U rows are a reduced basis of U = (id + involution)C, the F_C
     rows the reduced basis of C intersected with the fixed space, the
     lifts the preimages of the U rows on the first point of each
@@ -367,42 +278,45 @@ def _invariant_blocks(
     half = sum(1 << a for a, _b in cycles)
     r = len(pairvecs)
     d_fix = len(f_basis)
+    # (U rows, lifts, U's quotient) by (dim U, U rank), and the complement
+    # of F_C by its rows.  F_C recurs under every U of its band inside
+    # F_C and the 2-cycle span; without fixed points that span is the
+    # fixed space, so each F_C above dim U recurs and the complements
+    # kept are at most its subspaces (2825 at n = 12).  With fixed points
+    # most F_C never recur, so none is kept and a long walk stays small
+    u_built: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+    complements: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def build(a: int, f: int, i_u: int, i_s: int) -> tuple:
+        u = u_built.get((a, i_u))
+        if u is None:
+            u_rows = tuple(_span_rows(pairvecs, _echelon_at(r, a, i_u)))
+            lifts = tuple([x & half for x in u_rows])
+            u = u_built[a, i_u] = (u_rows, lifts, _complement_in(f_basis, u_rows))
+        u_rows, lifts, quotient = u
+        # the U rows are reduced already, so only the s rows go in
+        fc_basis = list(u_rows)
+        for row in _span_rows(quotient, _echelon_at(d_fix - a, f - a, i_s)):
+            fc_basis = _insert(fc_basis, row)
+        fc_rows = tuple(sorted(fc_basis, key=lambda r: r & -r))
+        twist_basis = complements.get(fc_rows)
+        if twist_basis is None:
+            twist_basis = _complement_in(f_basis, fc_rows)
+            if not fixed_pts:
+                complements[fc_rows] = twist_basis
+        return u_rows, fc_rows, lifts, twist_basis
+
     pos = ordinal = 0
     for a, f, n_u, n_s in _bands(r, d_fix, k):
         block = 1 << (a * (d_fix - f))
         band_end = pos + n_u * n_s * block
         end = min(band_end, stop)
         idx = max(start, start - (start - pos) // step * step)
-        u_col = _column(f_basis, a, a, n_u)
-        fc_col = _column(f_basis, a, f, n_u * n_s)
-        u_at = None
         while idx < end:
             at, l0 = divmod(idx - pos, block)
             lvals = range(l0, min(block, end - idx + l0), step)
             idx += len(lvals) * step
-            i_u, i_s = divmod(at, n_s)
-            if i_u != u_at:
-                sid = u_col[i_u]
-                if sid == NO_ID:
-                    u_basis = _span_rows(pairvecs, _echelon_at(r, a, i_u))
-                    sid, u_rows, quotient = _subspace(f_basis, u_basis)
-                    u_col[i_u] = sid
-                else:
-                    u_rows, quotient = _rows_by_id[sid], _complement_by_id[sid]
-                lifts = tuple([x & half for x in u_rows])
-                u_at = i_u
-            sid = fc_col[at]
-            if sid == NO_ID:
-                # the U rows are reduced already, so only the s rows go in
-                fc_basis = list(u_rows)
-                for row in _span_rows(quotient, _echelon_at(d_fix - a, f - a, i_s)):
-                    fc_basis = _insert(fc_basis, row)
-                fc_basis = sorted(fc_basis, key=lambda r: r & -r)
-                sid, fc_rows, twist_basis = _subspace(f_basis, fc_basis)
-                fc_col[at] = sid
-            else:
-                fc_rows, twist_basis = _rows_by_id[sid], _complement_by_id[sid]
-            yield ordinal + at, u_rows, fc_rows, lifts, twist_basis, lvals
+            yield ordinal + at, lvals, partial(build, a, f, *divmod(at, n_s))
         if band_end >= stop:
             return
         pos = band_end

@@ -68,10 +68,11 @@ _JOURNAL_UNITS = 16
 # written with interleaved units and covers other positions per unit.
 _JOURNAL_VERSION = 2
 
-# The scan's memo by (n, k) (see ``_scan_unit``): the test (a) entry of
-# each census block of the pairing by block ordinal, None until a scan of
-# this process first meets the block, and whether PAut is exactly <sigma>
-# by flip class key, for every class of a nonempty entry a scan has met.
+# The scan's memo by (n, k) (see ``_scan_unit``): the record of each
+# census block of the pairing by block ordinal, None until a scan of this
+# process first meets the block, the empty test (a) entry () or (entry,
+# F_C rows, lifts, twist basis); and whether PAut is exactly <sigma> by
+# flip class key, for every class of a nonempty entry a scan has met.
 _records: dict[tuple[int, int], tuple[list[tuple | None], dict[int, bool]]] = {}
 
 
@@ -465,35 +466,36 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[tup
     The unit's codes are a contiguous run of its slice's stream
     positions (``_unit_positions``); the block walker,
     ``census._invariant_blocks``, yields each (U, F_C) block the run
-    meets once, with the unit's twist values in it, so the unit builds
-    only its own blocks, a block met before costs two table reads, and
-    a unit shares only the blocks at the ends of its run with the units
-    next to it.  ``_records[n, k]`` is the scan's one memo per process:
-    a list of block records and a dict of class verdicts.  Each block of the census gets its record, by the
-    block ordinal, when the scan first meets it: its test (a) entry,
-    ``autgroup._block_entry``.  A block whose flip kernel holds a pair
-    flip other than the identity and sigma, among them every block the
-    cheap witnesses settle, holds the shared empty entry, and its codes
-    are counted but never built.  At n = 12, k = 5..7 that is 65320
-    slots, of which 1280 blocks get a nonempty entry.  In those, tests (a)
-    and (b) are decided once per pair flip class: the pair flips map a
-    code to codes of its block with the same verdict, and their twist
-    residues fill a coset of the entry's W (the ``autgroup`` module
-    docstring).  The class key packs the block ordinal below
-    ``autgroup._flip_class``, that coset's canonical word, and keys the
-    verdict dict.  A class met first is decided by
-    ``autgroup._pairing_only``: test (a) and, only if it passes, test (b)
-    on the built code, the decision of ``pairing_group_is_everything``.
-    The full n = 12 scan meets 7040 classes, 1440 of them hits, and its
-    memo then holds about 0.45 MB.  Every block is checked on its rows:
-    the F_C rows must be fixed by sigma and the U rows must lie in F_C
-    (``NotInvariant``), each lift l must have l + l^sigma equal to its U
-    row, and each twist-basis row must be fixed by sigma.  By linearity
-    every twist row w of the block then has w + w^sigma equal to its U
-    row, so w + w^sigma lies in F_C, and w reads equal bits on the pairs
-    U misses, where the complement witness swaps them.  Each hit is
-    reported as its own reduced rows, plain ints that pass through a
-    worker pool as they are.
+    meets once, with the unit's twist values in it, and a unit shares
+    only the blocks at the ends of its run with the units next to it.
+    ``_records[n, k]`` is the scan's one memo per process: a list of
+    block records and a dict of class verdicts.  A block without a
+    record gets its rows built, checked and its record: the shared empty
+    test (a) entry (``autgroup._block_entry``) when the block's flip
+    kernel holds a pair flip other than the identity and sigma, among
+    them every block the cheap witnesses settle, and otherwise the entry
+    with the F_C rows, lifts and twist basis.  A block with a record is
+    never built again, so a revisit costs a list read and a count, and
+    the codes of a block with the empty entry are counted but never
+    built.  At n = 12, k = 5..7 that is 65320 slots, of which 1280
+    blocks get a nonempty entry.  In those, tests (a) and (b) are
+    decided once per pair flip class: the pair flips map a code to codes
+    of its block with the same verdict, and their twist residues fill a
+    coset of the entry's W (the ``autgroup`` module docstring).  The
+    class key packs the block ordinal below ``autgroup._flip_class``,
+    that coset's canonical word, and keys the verdict dict.  A class met
+    first is decided by ``autgroup._pairing_only``: test (a) and, only
+    if it passes, test (b) on the built code, the decision of
+    ``pairing_group_is_everything``.  The full n = 12 scan meets 7040
+    classes, 1440 of them hits.  Every block's rows are checked before
+    any of its codes is counted: the F_C rows must be fixed by sigma and
+    the U rows must lie in F_C (``NotInvariant``), each lift l must have
+    l + l^sigma equal to its U row, and each twist-basis row must be
+    fixed by sigma.  By linearity every twist row w of the block then
+    has w + w^sigma equal to its U row, so w + w^sigma lies in F_C, and
+    w reads equal bits on the pairs U misses, where the complement
+    witness swaps them.  Each hit is reported as its own reduced rows,
+    plain ints that pass through a worker pool as they are.
     """
     n, k = args[:2]
     sigma = canonical_sigma(n)
@@ -507,26 +509,27 @@ def _scan_unit(args: tuple[int, int, int, int, int, int]) -> tuple[int, list[tup
     low_bits = int("01" * (n // 2), 2)
     scanned = 0
     hits: list[tuple[int, ...]] = []
-    for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(
-        n, k, sigma, *_unit_positions(*args)
-    ):
+    for ordinal, lvals, rows in _invariant_blocks(n, k, sigma, *_unit_positions(*args)):
+        record = records[ordinal]
+        if record is None:
+            u_rows, fc_rows, lifts, twist_basis = rows()
+            for x in fc_rows:
+                if (x ^ x >> 1) & low_bits:
+                    raise NotInvariant("code is not invariant under the pairing involution")
+            for u in u_rows:
+                if _reduce(fc_rows, u):
+                    raise NotInvariant("code is not invariant under the pairing involution")
+            # each lift w has w + w^sigma equal to its U row, and each
+            # twist-basis row w has w + w^sigma = 0
+            for w, u in zip(lifts + twist_basis, u_rows + (0,) * len(twist_basis)):
+                if w ^ ((w & low_bits) << 1 | (w >> 1) & low_bits) != u:
+                    raise RuntimeError("twist row does not lift its U row")
+            entry = _block_entry(n, u_rows, fc_rows)
+            record = records[ordinal] = entry and (entry, fc_rows, lifts, twist_basis)
         scanned += len(lvals)
-        for x in fc_rows:
-            if (x ^ x >> 1) & low_bits:
-                raise NotInvariant("code is not invariant under the pairing involution")
-        for u in u_rows:
-            if _reduce(fc_rows, u):
-                raise NotInvariant("code is not invariant under the pairing involution")
-        # each lift w has w + w^sigma equal to its U row, and each
-        # twist-basis row w has w + w^sigma = 0
-        for w, u in zip(lifts + twist_basis, u_rows + (0,) * len(twist_basis)):
-            if w ^ ((w & low_bits) << 1 | (w >> 1) & low_bits) != u:
-                raise RuntimeError("twist row does not lift its U row")
-        entry = records[ordinal]
-        if entry is None:
-            entry = records[ordinal] = _block_entry(n, u_rows, fc_rows)
-        if not entry:
+        if not record:
             continue
+        entry, fc_rows, lifts, twist_basis = record
         for lval in lvals:
             wrows = _twist_rows(lifts, twist_basis, lval)
             key = _flip_class(entry[0], n, fc_rows, wrows) << ordinal_bits | ordinal
@@ -549,10 +552,11 @@ def _journal_config(n: int, lo: int, hi: int, slice_: tuple[int, int]) -> dict:
     }
 
 
-def _load_journal(path, config: dict) -> tuple[set[tuple[int, int]], list[dict]]:
-    """The finished units and counterexamples recorded in the journal.
+def _load_journal(fd: int | None, config: dict) -> tuple[set[tuple[int, int]], list[dict]]:
+    """The finished units and counterexamples recorded in the journal
+    open at ``fd`` (``_journal_lock``).
 
-    A missing or empty journal gets its config line.  A final line
+    A new or empty journal gets its config line.  A final line
     without its newline is a record cut off by a kill: it is dropped and
     the file is truncated to its last complete line.  A repeated record
     of a finished unit adds nothing; a record whose k or unit lies
@@ -561,13 +565,10 @@ def _load_journal(path, config: dict) -> tuple[set[tuple[int, int]], list[dict]]
     """
     done: set[tuple[int, int]] = set()
     prior_ces: list[dict] = []
-    if path is None:
+    if fd is None:
         return done, prior_ces
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        data = b""
+    with open(fd, "rb", closefd=False) as fh:
+        data = fh.read()
     complete = data[: data.rfind(b"\n") + 1]
     try:
         records = [
@@ -595,10 +596,9 @@ def _load_journal(path, config: dict) -> tuple[set[tuple[int, int]], list[dict]]
             done.add((rec["k"], rec["unit"]))
             prior_ces.extend(rec["counterexamples"])
     if len(complete) < len(data):
-        with open(path, "r+b") as fh:
-            fh.truncate(len(complete))
+        os.ftruncate(fd, len(complete))
     if not records:
-        _append_journal(path, {"type": "config", "config": config})
+        _append_journal(fd, {"type": "config", "config": config})
     return done, prior_ces
 
 
@@ -620,27 +620,30 @@ def _is_unit_record(rec: dict, n: int) -> bool:
 
 
 @contextmanager
-def _journal_lock(path) -> Iterator[None]:
-    """Hold an exclusive lock on the journal (created if missing) for the
-    whole scan; a second scan on the same journal is refused rather than
-    interleaving its records.  Only this process writes the journal, so
-    worker processes need no lock of their own."""
-    fd = os.open(path, os.O_RDONLY | os.O_CREAT, 0o666)
+def _journal_lock(path) -> Iterator[int]:
+    """The journal (created if missing), opened once for reading and
+    appending, under an exclusive lock for the whole scan; a second scan
+    on the same journal is refused rather than interleaving its records.
+    Only this process writes the journal, so worker processes need no
+    lock of their own."""
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
     try:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError as exc:
             raise InvalidInput(f"journal {path} is in use by another scan") from exc
-        yield
+        yield fd
     finally:
         os.close(fd)
 
 
-def _append_journal(path, record: dict) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
+def _append_journal(fd: int, record: dict) -> None:
+    """Append one record line to the journal open at ``fd`` and fsync it,
+    so a finished unit survives a kill."""
+    data = (json.dumps(record) + "\n").encode()
+    while data:
+        data = data[os.write(fd, data) :]
+    os.fsync(fd)
 
 
 def conjecture_search(
@@ -688,8 +691,8 @@ def conjecture_search(
 
     config = _journal_config(n, lo, hi, (idx, total))
     rep = VerifyReport("conjecture", n, (lo, hi), 0, slice=(idx, total))
-    with _journal_lock(journal_path) if journal_path is not None else nullcontext():
-        done, prior = _load_journal(journal_path, config)
+    with _journal_lock(journal_path) if journal_path is not None else nullcontext() as journal:
+        done, prior = _load_journal(journal, config)
         for ce in prior:
             gens = ce["generators"]
             code = LinearCode.from_strings(gens) if gens else LinearCode.zero(n)
@@ -715,9 +718,9 @@ def conjecture_search(
                     Counterexample(LinearCode(n, rows), "automorphism group is exactly the pairing")
                     for rows in hits
                 ]
-                if journal_path is not None:
+                if journal is not None:
                     _append_journal(
-                        journal_path,
+                        journal,
                         {
                             "type": "unit",
                             "k": k,

@@ -43,7 +43,6 @@ from pautkit.perm import (
 )
 from pautkit.census import (
     CensusSlice,
-    _invariant_blocks,
     _twist_rows,
     enumerate_sigma_invariant,
     enumerate_subspaces,
@@ -54,6 +53,7 @@ from pautkit.fixed import _cheap_witness
 from pautkit.gf2 import _rref_ints
 from pautkit.perm import canonical_sigma
 
+from blocks import block_tuples
 from bruteforce import (
     brute_automorphism_images,
     brute_centraliser_images,
@@ -403,7 +403,7 @@ def _cheap_verdicts(n, ks, index, total):
     # whether the cheap witness ladder settles its code
     sigma = canonical_sigma(n)
     for k in ks:
-        for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(
+        for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in block_tuples(
             n, k, sigma, index, total
         ):
             codes = []
@@ -489,7 +489,7 @@ def test_missed_pair_gives_the_empty_entry_without_the_flip_map(monkeypatch):
     for n in (4, 6, 8):
         evens = ((1 << n) - 1) // 3
         for k in range(n + 1):
-            for _o, u_rows, fc_rows, *_twists in _invariant_blocks(n, k, canonical_sigma(n), 0, 1):
+            for _o, u_rows, fc_rows, *_twists in block_tuples(n, k, canonical_sigma(n), 0, 1):
                 support = 0
                 for u in u_rows:
                     support |= u

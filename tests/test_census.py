@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from itertools import accumulate, islice
 
 import pytest
@@ -17,20 +18,18 @@ from pautkit import (
     shard,
     sigma_invariant_count,
 )
-from pautkit import census
 from pautkit.census import (
-    NO_ID,
-    TABLE_CAP,
     _block_count,
     _complement_in,
     _echelon_forms,
     _invariant_blocks,
     _span_rows,
     _twist_rows,
-    _subspace,
 )
 from pautkit.gf2 import _rref_ints
 from pautkit.perm import canonical_sigma, image_code
+
+from blocks import block_tuples
 
 
 def test_gaussian_binomial_values():
@@ -259,7 +258,8 @@ def test_slice_units_sum_to_closed_form_coverage():
         positions = [range(start, min(stop, stream), step) for start, step, stop in runs]
         assert [p for run in positions for p in run] == list(slice_positions)
         for (start, step, stop), run in zip(runs, positions):
-            got = sum(len(b[5]) for b in _invariant_blocks(12, k, sigma, start, step, stop))
+            blocks = _invariant_blocks(12, k, sigma, start, step, stop)
+            got = sum(len(lvals) for _o, lvals, _rows in blocks)
             assert got == len(run)
             walked += got
     assert walked == coverage
@@ -295,7 +295,7 @@ def test_unit_walks_visit_each_block_once():
 
 def _fixed_space_basis(n, involution):
     """The walker's fixed-space basis: the 2-cycle vectors, then the fixed
-    points, as the tuple that keys the census tables."""
+    points, the space whose complements the walk takes."""
     cycles = [(i, x) for i, x in enumerate(involution.images) if i < x]
     fixed = [i for i, x in enumerate(involution.images) if i == x]
     return tuple([(1 << a) | (1 << b) for a, b in cycles] + [1 << c for c in fixed])
@@ -309,31 +309,29 @@ def _all_subspace_rows(basis):
     ]
 
 
-def test_subspace_table_equals_direct_computation(cold_census_tables):
+def test_block_rows_equal_direct_computation():
     spaces = [(n, canonical_sigma(n)) for n in (2, 4, 6, 8)]
     spaces.append((6, Perm.from_cycles("(1,2)(3,4)", 6)))
     for n, involution in spaces:
-        # the walk fills the table first, so the lookups below are hits
-        for k in range(n + 1):
-            for _ in _invariant_blocks(n, k, involution, 0, 1):
-                pass
         basis = _fixed_space_basis(n, involution)
-        filled = len(census._rows_by_id)
-        for rows in _all_subspace_rows(basis):
-            sid, got_rows, comp = _subspace(basis, rows)
-            assert sid != NO_ID and got_rows == rows
-            assert comp == census._complement_by_id[sid] == _complement_in(basis, rows)
-        assert len(census._rows_by_id) == filled
-    # one entry per subspace: no two (space, subspace) pairs share an id
-    assert len(census._rows_by_id) == sum(
-        len(_all_subspace_rows(_fixed_space_basis(n, inv))) for n, inv in spaces
-    )
+        met = set()
+        for k in range(n + 1):
+            for _o, lvals, rows in _invariant_blocks(n, k, involution, 0, 1):
+                u_rows, fc_rows, lifts, twist_basis = built = rows()
+                # reduced bases, the twist basis a direct complement, and
+                # a second call builds the same rows
+                assert u_rows == _rref_ints(u_rows) and fc_rows == _rref_ints(fc_rows)
+                assert twist_basis == _complement_in(basis, fc_rows)
+                assert len(lifts) == len(u_rows) and rows() == built
+                met.add(fc_rows)
+        # the F_C rows run over every subspace of the fixed space
+        assert sorted(met) == sorted(_all_subspace_rows(basis))
 
 
-def test_block_ordinals_number_the_blocks(cold_census_tables):
+def test_block_ordinals_number_the_blocks():
     beta = Perm.from_cycles("(1,2)(3,4)", 6)
     for n, k, involution in ((8, 4, canonical_sigma(8)), (8, 5, canonical_sigma(8)), (6, 3, beta)):
-        walk = list(_invariant_blocks(n, k, involution, 0, 1))
+        walk = list(block_tuples(n, k, involution, 0, 1))
         # the full walk yields every block once, in ordinal order, with
         # all of its twist values
         assert [block[0] for block in walk] == list(range(_block_count(n, k, involution)))
@@ -342,74 +340,67 @@ def test_block_ordinals_number_the_blocks(cold_census_tables):
             assert lvals == range(1 << len(u_rows) * len(twist_basis))
             assert len(lifts) == len(u_rows)
         assert sum(len(block[5]) for block in walk) == invariant_subspace_count(n, k, involution)
-        # a sparse, warm walk reads the same blocks from the columns, and
-        # its twist values are the positions 3, 10, 17, ... in each block
+        # a sparse walk builds the same blocks, and its twist values are
+        # the positions 3, 10, 17, ... in each block
         starts = list(accumulate((len(block[5]) for block in walk), initial=0))
-        sparse = list(_invariant_blocks(n, k, involution, 3, 7))
+        sparse = list(block_tuples(n, k, involution, 3, 7))
         for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in sparse:
             assert walk[ordinal][1:5] == (u_rows, fc_rows, lifts, twist_basis)
             assert list(lvals) == [l for l in walk[ordinal][5] if (starts[ordinal] + l) % 7 == 3]
         assert sum(len(block[5]) for block in sparse) == len(range(3, starts[-1], 7))
 
 
-def test_n12_positions_are_frozen_and_table_stays_small(cold_census_tables):
+def test_n12_positions_are_frozen():
     # sha256 over repr((u_rows, fc_rows, wrows)) of every position of
     # slice 0/100, recorded before U's quotient and F_C's twist basis
     # were taken from a table
     sigma = canonical_sigma(12)
     for _pass in range(2):
-        # cold, then warm from the columns
+        # two walks, each of which builds its own blocks
         h = hashlib.sha256()
         for k in (5, 6, 7):
-            for _b, u_rows, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(
+            for _b, u_rows, fc_rows, lifts, twist_basis, lvals in block_tuples(
                 12, k, sigma, 0, 100
             ):
                 for lval in lvals:
                     wrows = _twist_rows(lifts, twist_basis, lval)
                     h.update(repr((list(u_rows), fc_rows, wrows)).encode())
         assert h.hexdigest() == "cd8ba44eea4213066d34715d431f74a9339cc5c8e5a319df60ad942eb88079fa"
-    # at most one entry per subspace of the 6-dimensional fixed space
-    assert 0 < len(census._rows_by_id) <= 2825
-    # one column per band of k = 5..7, the k = 6 band a = 2 the longest
-    assert max(len(c) for c in census._columns.values()) == 22785 <= TABLE_CAP
 
 
-def test_subspace_table_stops_at_its_cap(cold_census_tables):
+def test_large_fixed_space_census_is_exact():
     # (1,2) at n = 8 has a 7-dimensional fixed space with 29212 subspaces
     beta = Perm.from_cycles("(1,2)", 8)
     for k in range(9):
         codes = {
             LinearCode(8, _rref_ints(fc_rows + _twist_rows(lifts, twist_basis, lval)))
-            for _b, _u, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(8, k, beta, 0, 1)
+            for _b, _u, fc_rows, lifts, twist_basis, lvals in block_tuples(8, k, beta, 0, 1)
             for lval in lvals
         }
         assert len(codes) == invariant_subspace_count(8, k, beta)
         assert all(image_code(c, beta) == c for c in codes)
-    assert len(census._rows_by_id) == TABLE_CAP
-    # past the cap a complement is still computed, just not stored
-    basis = _fixed_space_basis(8, beta)
-    unstored = 0
-    for rows in _all_subspace_rows(basis):
-        sid, _rows, comp = _subspace(basis, rows)
-        assert comp == _complement_in(basis, rows)
-        unstored += sid == NO_ID
-    assert unstored == 29212 - TABLE_CAP
-    assert len(census._rows_by_id) == TABLE_CAP
 
 
-def test_long_band_allocates_no_column(cold_census_tables):
+def test_long_band_allocates_no_column():
     # (1,2) at n = 12: the k = 6 band a = 0 has 3548836819 blocks, one
-    # per F_C, far past the cap, so it is walked without a column
-    for _ in islice(_invariant_blocks(12, 6, canonical_sigma(12), 0, 100), 50):
-        pass
+    # per F_C.  The walk keeps nothing per band, and no F_C complement of
+    # an involution with fixed points, so its first 50 blocks, built,
+    # and 2000 more peak under 100 kB once the echelon layouts are cached
     beta = Perm.from_cycles("(1,2)", 12)
     assert _block_count(12, 6, beta) > 3548836819
-    blocks = list(islice(_invariant_blocks(12, 6, beta, 0, 1), 50))
+    list(islice(block_tuples(12, 6, beta, 0, 1), 50))
+    walk = block_tuples(12, 6, beta, 0, 1)
+    tracemalloc.start()
+    try:
+        blocks = list(islice(walk, 50))
+        for _block in islice(walk, 2000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
     assert [b[0] for b in blocks] == list(range(50))
     for _b, _u, fc_rows, lifts, twist_basis, lvals in blocks:
         assert lvals == range(1)
         code = LinearCode(12, _rref_ints(fc_rows + _twist_rows(lifts, twist_basis, 0)))
         assert image_code(code, beta) == code
-    assert all(len(c) <= TABLE_CAP for c in census._columns.values())
-    # the pairing's columns went when the walk moved to another space
-    assert {space for space, _a, _f in census._columns} == {_fixed_space_basis(12, beta)}

@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 from itertools import islice, permutations
 
@@ -21,7 +22,6 @@ from pautkit.autgroup import (
     _pairing_split,
 )
 from pautkit.census import (
-    _invariant_blocks,
     _twist_rows,
     enumerate_sigma_invariant,
     enumerate_subspaces,
@@ -43,6 +43,8 @@ from pautkit.verify import (
     _journal_config,
     _scan_unit,
 )
+
+from blocks import block_tuples
 
 
 def test_half_dim_bound_suite():
@@ -237,6 +239,34 @@ def test_conjecture_journal_drops_cut_off_last_line(tmp_path):
     assert partial.read_text().startswith(kept)
     assert all(json.loads(line) for line in partial.read_text().splitlines())
     assert conjecture_search(10, journal_path=str(partial)).scanned == 0
+
+
+# called with the path of each "open" audit event, of the builtin open
+# and of os.open, while a test sets it
+_on_open = None
+sys.addaudithook(lambda event, args: event == "open" and _on_open and _on_open(args[0]))
+
+
+def test_journaled_slice_opens_its_journal_once(tmp_path, monkeypatch):
+    # a journaled n = 12 slice reads its journal, writes the config line
+    # and its 48 unit records, each fsynced, through one descriptor; so
+    # does a resume that truncates a cut line and appends the last record
+    journal = str(tmp_path / "scan.ndjson")
+    opened = []
+    monkeypatch.setattr(sys.modules[__name__], "_on_open", opened.append)
+    fresh = conjecture_search(12, slice_=(37, 100), journal_path=journal)
+    assert opened.count(journal) == 1
+    with open(journal) as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 1 + 48 and fresh.scanned == 24109
+    with open(journal, "w") as fh:
+        fh.write("".join(line + "\n" for line in lines[:-1]) + lines[-1][:10])
+    opened.clear()
+    resumed = conjecture_search(12, slice_=(37, 100), journal_path=journal)
+    assert opened.count(journal) == 1
+    assert resumed.scanned == json.loads(lines[-1])["scanned"]
+    with open(journal) as fh:
+        assert fh.read().splitlines() == lines
 
 
 def test_conjecture_journal_rejects_unparsable_line(tmp_path):
@@ -606,11 +636,11 @@ def test_length12_slice_outcome():
     assert {c.code.k for c in report.counterexamples} == {6}
 
 
-def test_block_records_are_the_block_entries(cold_census_tables, monkeypatch):
-    # n = 10 and two n = 12 slices in one process, from cold tables: each
-    # met block's record must be its test (a) entry, computed afresh, and
-    # the empty entries one shared tuple; a block no scan met must have
-    # no record
+def test_block_records_are_the_block_entries(monkeypatch):
+    # n = 10 and two n = 12 slices in one process, from a cold memo: each
+    # met block's record must be its test (a) entry with its F_C rows,
+    # lifts and twist basis, from a fresh walk, and the empty records one
+    # shared object; a block no scan met must have no record
     monkeypatch.setattr(verify, "_records", {})
     assert conjecture_search(10).scanned == 18291
     assert conjecture_search(12, slice_=(0, 100)).scanned == 24110
@@ -621,29 +651,55 @@ def test_block_records_are_the_block_entries(cold_census_tables, monkeypatch):
     nonempty = 0
     for (n, k), (records, _verdicts) in verify._records.items():
         met = {
-            ordinal: (u_rows, fc_rows)
+            ordinal: rows
             for index, total in (((0, 1),) if n == 10 else ((0, 100), (37, 100)))
-            for ordinal, u_rows, fc_rows, *_twists in _invariant_blocks(
-                n, k, canonical_sigma(n), index, total
-            )
+            for ordinal, *rows, _lvals in block_tuples(n, k, canonical_sigma(n), index, total)
         }
-        for ordinal, (u_rows, fc_rows) in met.items():
-            assert records[ordinal] == _block_entry(n, u_rows, fc_rows)
-            if records[ordinal]:
+        for ordinal, (u_rows, fc_rows, lifts, twist_basis) in met.items():
+            entry = _block_entry(n, u_rows, fc_rows)
+            if entry:
+                assert records[ordinal] == (entry, fc_rows, lifts, twist_basis)
                 nonempty += 1
             else:
+                assert records[ordinal] == ()
                 empty.add(id(records[ordinal]))
         assert len(records) - records.count(None) == len(met)
     assert len(empty) == 1
     # 30 at n = 10, k = 5, and every one of the 1280 at n = 12, k = 5..7
     assert nonempty == 30 + 1280
-    # a warm scan reads the records and the columns, with the same report
+    # a warm scan reads the records, with the same report
     calls = []
     monkeypatch.setattr(
         verify, "_block_entry", lambda *args: calls.append(args) or _block_entry(*args)
     )
     warm = conjecture_search(12, slice_=(37, 100)).to_dict()
     assert calls == []
+    cold.pop("elapsed_ms")
+    warm.pop("elapsed_ms")
+    assert warm == cold
+
+
+def test_scan_builds_a_block_only_without_a_record(monkeypatch):
+    # n = 12 slice 0/100 from a cold memo: the scan builds the rows of
+    # each of the 18362 blocks it meets once, over its 18371 block
+    # visits, and a warm rescan builds none
+    walk = verify._invariant_blocks
+    visits, builds = [], []
+
+    def counted(n, k, *positions):
+        for ordinal, lvals, rows in walk(n, k, *positions):
+            visits.append((k, ordinal))
+            yield ordinal, lvals, lambda rows=rows, key=(k, ordinal): builds.append(key) or rows()
+
+    monkeypatch.setattr(verify, "_records", {})
+    monkeypatch.setattr(verify, "_invariant_blocks", counted)
+    cold = conjecture_search(12, slice_=(0, 100)).to_dict()
+    assert (len(visits), len(builds)) == (18371, 18362)
+    assert sorted(builds) == sorted(set(visits))
+    visits.clear()
+    builds.clear()
+    warm = conjecture_search(12, slice_=(0, 100)).to_dict()
+    assert (len(visits), builds) == (18371, [])
     cold.pop("elapsed_ms")
     warm.pop("elapsed_ms")
     assert warm == cold
@@ -669,7 +725,7 @@ def test_flip_classes_share_their_verdicts():
         codes = 0
         first = {}
         for k in range(n + 1):
-            for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(
+            for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in block_tuples(
                 n, k, sigma, 0, 1
             ):
                 entry = _block_entry(n, u_rows, fc_rows)
@@ -703,7 +759,7 @@ def test_scan_decides_once_per_flip_class(monkeypatch):
         report = conjecture_search(12, slice_=(index, 100)).to_dict()
         want = []
         for k in (5, 6, 7):
-            for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(
+            for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in block_tuples(
                 12, k, sigma, index, 100
             ):
                 entry = _block_entry(12, u_rows, fc_rows)
@@ -738,21 +794,23 @@ def test_scan_decides_once_per_flip_class(monkeypatch):
 
 
 def _altered_walk(monkeypatch, alter):
-    # the census block walk of verify, with each yielded block altered
+    # the census block walk of verify, with the rows of each block altered
     walk = verify._invariant_blocks
+
+    def altered(*args):
+        for ordinal, lvals, rows in walk(*args):
+            yield ordinal, lvals, lambda rows=rows: alter(*rows())
+
     monkeypatch.setattr(verify, "_records", {})
-    monkeypatch.setattr(
-        verify, "_invariant_blocks", lambda *args: (alter(*block) for block in walk(*args))
-    )
+    monkeypatch.setattr(verify, "_invariant_blocks", altered)
 
 
 def test_scan_rejects_a_twist_row_off_its_u_row(monkeypatch):
     # bit 0 of the first lift flipped: l + l^sigma is no longer its U row
     _altered_walk(
         monkeypatch,
-        lambda ordinal, u_rows, fc_rows, lifts, twist_basis, lvals: (
-            ordinal, u_rows, fc_rows, tuple(w ^ (i == 0) for i, w in enumerate(lifts)),
-            twist_basis, lvals,
+        lambda u_rows, fc_rows, lifts, twist_basis: (
+            u_rows, fc_rows, tuple(w ^ (i == 0) for i, w in enumerate(lifts)), twist_basis,
         ),
     )
     with pytest.raises(RuntimeError, match="twist row"):
@@ -764,8 +822,8 @@ def test_scan_rejects_a_twist_basis_row_outside_the_fixed_space(monkeypatch):
     # gives twist rows w with w + w^sigma off their U rows
     _altered_walk(
         monkeypatch,
-        lambda ordinal, u_rows, fc_rows, lifts, twist_basis, lvals: (
-            ordinal, u_rows, fc_rows, lifts, tuple(x ^ 1 for x in twist_basis), lvals,
+        lambda u_rows, fc_rows, lifts, twist_basis: (
+            u_rows, fc_rows, lifts, tuple(x ^ 1 for x in twist_basis),
         ),
     )
     with pytest.raises(RuntimeError, match="twist row"):
@@ -777,7 +835,7 @@ def test_scan_rejects_an_f_c_row_off_the_fixed_space(monkeypatch):
     # and each U row still reduces to 0 before the new row is reached
     _altered_walk(
         monkeypatch,
-        lambda ordinal, u_rows, fc_rows, *twists: (ordinal, u_rows, fc_rows + (1 << 9,), *twists),
+        lambda u_rows, fc_rows, *twists: (u_rows, fc_rows + (1 << 9,), *twists),
     )
     with pytest.raises(NotInvariant):
         _scan_unit((10, 5, 0, 1, 0, 1))
@@ -785,9 +843,9 @@ def test_scan_rejects_an_f_c_row_off_the_fixed_space(monkeypatch):
 
 def test_scan_rejects_a_u_row_outside_the_fixed_subcode(monkeypatch):
     # a pair vector outside F_C appended to the U rows, past the lifts
-    def outside(ordinal, u_rows, fc_rows, *twists):
+    def outside(u_rows, fc_rows, *twists):
         extra = [x for x in (3 << 2 * p for p in range(5)) if _reduce(fc_rows, x)]
-        return ordinal, u_rows + tuple(extra[:1]), fc_rows, *twists
+        return u_rows + tuple(extra[:1]), fc_rows, *twists
 
     _altered_walk(monkeypatch, outside)
     with pytest.raises(NotInvariant):
@@ -812,11 +870,12 @@ def test_length14_blocks_keep_their_own_records(monkeypatch):
     blocks = {}
     open_codes = 0
     searched_hits = []
-    for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in _invariant_blocks(
+    for ordinal, u_rows, fc_rows, lifts, twist_basis, lvals in block_tuples(
         n, k, sigma, 0, step
     ):
         blocks[ordinal] = (u_rows, fc_rows)
-        assert records[ordinal] == _block_entry(n, u_rows, fc_rows)
+        entry = _block_entry(n, u_rows, fc_rows)
+        assert records[ordinal] == (entry and (entry, fc_rows, lifts, twist_basis))
         for lval in lvals:
             code = LinearCode(n, _rref_ints(fc_rows + _twist_rows(lifts, twist_basis, lval)))
             assert _pairing_split(code)[:2] == (u_rows, fc_rows)
